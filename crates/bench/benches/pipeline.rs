@@ -2,10 +2,7 @@
 //! determination path — the per-pair costs behind Figure 7.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use stj_core::{
-    find_relation, find_relation_april, find_relation_op2, find_relation_st2, ObjectRef,
-    SpatialObject,
-};
+use stj_core::{JoinMethod, PairCtx, RelateScratch, SpatialObject};
 use stj_datagen::{pair_with_relation, star_polygon, StarParams};
 use stj_de9im::TopoRelation;
 use stj_geom::{Point, Rect};
@@ -31,16 +28,29 @@ fn bench_methods_per_relation(c: &mut Criterion) {
         TopoRelation::Intersects,
     ] {
         let (r, s) = obj_pair(rel, 512, 31);
-        for (name, f) in [
-            ("PC", find_relation as fn(ObjectRef<'_>, ObjectRef<'_>) -> _),
-            ("ST2", find_relation_st2),
-            ("OP2", find_relation_op2),
-            ("APRIL", find_relation_april),
+        for (name, method) in [
+            ("PC", JoinMethod::PC),
+            ("ST2", JoinMethod::St2),
+            ("OP2", JoinMethod::Op2),
+            ("APRIL", JoinMethod::April),
         ] {
             g.bench_with_input(
                 BenchmarkId::new(name, format!("{rel:?}")),
                 &rel,
-                |bench, _| bench.iter(|| black_box(f(black_box(r.view()), black_box(s.view())))),
+                |bench, _| {
+                    bench.iter(|| {
+                        let mut ctx = PairCtx {
+                            scratch: &mut RelateScratch::default(),
+                            prof: &mut stj_obs::Disabled,
+                            adaptive: None,
+                        };
+                        black_box(method.find_relation(
+                            black_box(r.view()),
+                            black_box(s.view()),
+                            &mut ctx,
+                        ))
+                    })
+                },
             );
         }
     }

@@ -51,7 +51,7 @@ fn main() {
         let t = Instant::now();
         let mut stats = PipelineStats::default();
         for &(i, j) in &pairs {
-            stats.record(&find_relation(r.object(i as usize), s.object(j as usize)));
+            stats.record(find_relation(r.object(i as usize), s.object(j as usize)).determination);
         }
         let dt = t.elapsed();
         println!(

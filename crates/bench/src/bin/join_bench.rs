@@ -1,13 +1,11 @@
-//! Executor benchmark: the streaming fused `TopologyJoin` executor vs
-//! the materialize-then-process path, across thread counts, over an OBE
-//! self-join.
+//! Executor benchmark: the streaming `TopologyJoin` executor across
+//! thread counts, over an OBE self-join.
 //!
 //! A counting global allocator additionally tracks **live** heap bytes
 //! so each run reports its peak memory over the steady-state baseline —
-//! the number that exposes the materialized path's O(candidates) pair
-//! buffer against the streaming path's O(threads × batch) buffers. The
-//! run aborts if the two strategies ever disagree on link or candidate
-//! counts, so CI can gate on the bench exiting zero.
+//! the executor holds only O(threads × batch) candidate buffers. The
+//! run aborts if any thread count disagrees with the sequential run on
+//! link or candidate counts, so CI can gate on the bench exiting zero.
 //!
 //! Run with:
 //! ```text
@@ -22,7 +20,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-use stj_core::{Dataset, DatasetArena, ExecStrategy, TopologyJoin, STREAM_BATCH_PAIRS};
+use stj_core::{Dataset, DatasetArena, TopologyJoin, STREAM_BATCH_PAIRS};
 use stj_geom::Rect;
 use stj_obs::Json;
 use stj_raster::Grid;
@@ -66,7 +64,6 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// One measured executor run.
 struct RunSample {
-    strategy: ExecStrategy,
     threads: usize,
     wall_ns: u64,
     allocs: u64,
@@ -76,27 +73,16 @@ struct RunSample {
     links: u64,
 }
 
-fn strategy_name(s: ExecStrategy) -> &'static str {
-    match s {
-        ExecStrategy::Streaming => "streaming",
-        ExecStrategy::Materialized => "materialized",
-    }
-}
-
-fn measure(arena: &DatasetArena, strategy: ExecStrategy, threads: usize) -> RunSample {
+fn measure(arena: &DatasetArena, threads: usize) -> RunSample {
     let live0 = LIVE_BYTES.load(Ordering::Relaxed);
     PEAK_BYTES.store(live0, Ordering::Relaxed);
     let a0 = ALLOC_CALLS.load(Ordering::Relaxed);
     let t = Instant::now();
-    let out = TopologyJoin::new()
-        .strategy(strategy)
-        .threads(threads)
-        .run(arena, arena);
+    let out = TopologyJoin::new().threads(threads).run(arena, arena);
     let wall_ns = t.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
     let allocs = ALLOC_CALLS.load(Ordering::Relaxed) - a0;
     let peak_extra_bytes = PEAK_BYTES.load(Ordering::Relaxed).saturating_sub(live0);
     RunSample {
-        strategy,
         threads,
         wall_ns,
         allocs,
@@ -126,10 +112,7 @@ fn main() {
 
     // Warm up caches and the lazy parts of the allocator so the first
     // measured run is not charged for them.
-    let warm = TopologyJoin::new()
-        .strategy(ExecStrategy::Materialized)
-        .threads(1)
-        .run(&arena, &arena);
+    let warm = TopologyJoin::new().threads(1).run(&arena, &arena);
     eprintln!(
         "self-join: {} candidates, {} links",
         warm.candidates,
@@ -143,52 +126,46 @@ fn main() {
         .max(1);
     let thread_counts = [1usize, 2, 4, 8];
     let mut samples = Vec::new();
-    for strategy in [ExecStrategy::Materialized, ExecStrategy::Streaming] {
-        for &threads in &thread_counts {
-            // Best-of-reps wall clock: the memory and count columns are
-            // deterministic per config, only the timing is noisy.
-            let mut s = measure(&arena, strategy, threads);
-            for _ in 1..reps {
-                let again = measure(&arena, strategy, threads);
-                assert_eq!(again.links, s.links);
-                s.wall_ns = s.wall_ns.min(again.wall_ns);
-            }
-            eprintln!(
-                "{:<12} x{}  {:>8.1} ms  {:>10} peak extra bytes  {:>8} allocs  {} links",
-                strategy_name(s.strategy),
-                s.threads,
-                s.wall_ns as f64 / 1e6,
-                s.peak_extra_bytes,
-                s.allocs,
-                s.links,
-            );
-            samples.push(s);
+    for &threads in &thread_counts {
+        // Best-of-reps wall clock: the memory and count columns are
+        // deterministic per config, only the timing is noisy.
+        let mut s = measure(&arena, threads);
+        for _ in 1..reps {
+            let again = measure(&arena, threads);
+            assert_eq!(again.links, s.links);
+            s.wall_ns = s.wall_ns.min(again.wall_ns);
         }
+        eprintln!(
+            "x{}  {:>8.1} ms  {:>10} peak extra bytes  {:>8} allocs  {} links",
+            s.threads,
+            s.wall_ns as f64 / 1e6,
+            s.peak_extra_bytes,
+            s.allocs,
+            s.links,
+        );
+        samples.push(s);
     }
 
-    // Correctness gate: every run must agree with the warmup baseline on
-    // both candidate and link counts. CI treats a non-zero exit here as
-    // an executor-divergence failure.
+    // Correctness gate: every run must agree with the sequential warmup
+    // on both candidate and link counts. CI treats a non-zero exit here
+    // as an executor-divergence failure.
     for s in &samples {
         assert_eq!(
-            s.candidates,
-            warm.candidates,
-            "{} x{} candidate count diverged",
-            strategy_name(s.strategy),
+            s.candidates, warm.candidates,
+            "x{} candidate count diverged",
             s.threads
         );
         assert_eq!(
             s.links,
             warm.links.len() as u64,
-            "{} x{} link count diverged",
-            strategy_name(s.strategy),
+            "x{} link count diverged",
             s.threads
         );
     }
     eprintln!("all runs agree: {} links", warm.links.len());
 
     // Flight-recorder overhead: best-of-reps traced vs untraced wall on
-    // the widest streaming configuration. The untraced runs carry the
+    // the widest configuration. The untraced runs carry the
     // recorder hooks in their disabled state (a branch on an `Option`
     // per task), so untraced-vs-baseline drift is the tracing-off cost;
     // the traced delta additionally includes the per-pair stage timers
@@ -197,7 +174,6 @@ fn main() {
     let time_join = |traced: bool| -> u64 {
         let t = Instant::now();
         let out = TopologyJoin::new()
-            .strategy(ExecStrategy::Streaming)
             .threads(probe_threads)
             .traced(traced)
             .run(&arena, &arena);
@@ -222,14 +198,10 @@ fn main() {
         .iter()
         .map(|s| {
             // The analytic size of the candidate-pair staging buffers:
-            // the materialized path holds every candidate at once, the
-            // streaming path only `threads` batch buffers.
-            let candidate_buffer_bytes = match s.strategy {
-                ExecStrategy::Materialized => s.candidates * pair_bytes,
-                ExecStrategy::Streaming => (s.threads * STREAM_BATCH_PAIRS) as u64 * pair_bytes,
-            };
+            // one batch buffer per worker.
+            let candidate_buffer_bytes = (s.threads * STREAM_BATCH_PAIRS) as u64 * pair_bytes;
             Json::object([
-                ("exec", Json::str(strategy_name(s.strategy))),
+                ("exec", Json::str("streaming")),
                 ("threads", Json::from(s.threads)),
                 ("wall_ns", Json::U64(s.wall_ns)),
                 ("allocs", Json::U64(s.allocs)),

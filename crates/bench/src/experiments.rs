@@ -2,15 +2,13 @@
 
 use crate::harness::{
     complexity_levels, default_scale, human_count, mb, profile_pc, run_method, threads, ComboSetup,
-    Method, MethodResult, GRID_ORDER, METHODS,
+    MethodResult, GRID_ORDER, METHODS,
 };
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
-use stj_core::{
-    find_relation, intermediate_filter, mbr_class_labels, refine, relate_p, Dataset, IfOutcome,
-};
+use stj_core::{intermediate_filter, mbr_class_labels, relate_p, Dataset, IfOutcome};
 use stj_datagen::{fig9_lake_in_park, generate, ComboId, DatasetId, ALL_COMBOS};
-use stj_de9im::TopoRelation;
+use stj_de9im::{relate, TopoRelation};
 use stj_geom::Rect;
 use stj_index::{mbr_join_parallel, MbrRelation};
 use stj_obs::{JoinProfile, Json};
@@ -257,7 +255,7 @@ pub fn fig8_with(setup: &ComboSetup) {
         let t = Instant::now();
         for &(i, j) in group {
             let (r, s) = setup.pair(i, j);
-            let _ = (op2.run)(r, s);
+            let _ = op2.run(r, s);
         }
         let op2_time = t.elapsed();
 
@@ -274,9 +272,9 @@ pub fn fig8_with(setup: &ComboSetup) {
         }
         let if_time = t.elapsed();
         let t = Instant::now();
-        for &(i, j, c) in &to_refine {
+        for &(i, j, _) in &to_refine {
             let (r, s) = setup.pair(i, j);
-            let _ = refine(r, s, c);
+            let _ = TopoRelation::most_specific(&relate(&r.geom, &s.geom));
         }
         let ref_time = t.elapsed();
 
@@ -321,13 +319,7 @@ pub fn table5_with(setup: &ComboSetup) {
         "Method", "Equals", "Meets", "Inside"
     );
 
-    let fr = run_method(
-        setup,
-        &Method {
-            name: "P+C",
-            run: find_relation,
-        },
-    );
+    let fr = run_method(setup, &METHODS[3]);
     println!(
         "{:<14} {:>12.1} {:>12.1} {:>12.1}",
         "find relation", fr.throughput, fr.throughput, fr.throughput
@@ -400,7 +392,7 @@ pub fn fig9() {
         let t = Instant::now();
         let mut out = None;
         for _ in 0..reps {
-            out = Some((m.run)(lake.view(), park.view()));
+            out = Some(m.run(lake.view(), park.view()));
         }
         let dt = t.elapsed() / reps;
         times.push((m.name, out.unwrap().relation, dt));

@@ -2,13 +2,13 @@
 
 use std::time::{Duration, Instant};
 use stj_core::{
-    find_relation, find_relation_april, find_relation_op2, find_relation_profiled,
-    find_relation_st2, Dataset, DatasetArena, FindOutcome, ObjectRef, PipelineStats,
+    find_relation_with, Dataset, DatasetArena, FindOutcome, JoinMethod, ObjectRef, PairCtx,
+    PipelineStats, RelateScratch,
 };
 use stj_datagen::{generate_combo, ComboId};
 use stj_geom::Rect;
 use stj_index::mbr_join_parallel;
-use stj_obs::{JoinProfile, Json, Recorder};
+use stj_obs::{Disabled, JoinProfile, Json, Recorder};
 use stj_raster::Grid;
 
 /// Grid order used by all experiments (the paper's `2^16 × 2^16`).
@@ -93,27 +93,40 @@ impl ComboSetup {
 pub struct Method {
     /// Display name as used in the paper's figures.
     pub name: &'static str,
-    /// The per-pair entry point.
-    pub run: fn(ObjectRef<'_>, ObjectRef<'_>) -> FindOutcome,
+    /// The method's per-pair entry point.
+    pub method: JoinMethod,
+}
+
+impl Method {
+    /// Runs one pair through fresh scratch memory, as a one-off caller
+    /// would.
+    pub fn run(&self, r: ObjectRef<'_>, s: ObjectRef<'_>) -> FindOutcome {
+        let mut ctx = PairCtx {
+            scratch: &mut RelateScratch::default(),
+            prof: &mut Disabled,
+            adaptive: None,
+        };
+        self.method.find_relation(r, s, &mut ctx)
+    }
 }
 
 /// The four compared methods, in the paper's presentation order.
 pub const METHODS: [Method; 4] = [
     Method {
         name: "ST2",
-        run: find_relation_st2,
+        method: JoinMethod::St2,
     },
     Method {
         name: "OP2",
-        run: find_relation_op2,
+        method: JoinMethod::Op2,
     },
     Method {
         name: "APRIL",
-        run: find_relation_april,
+        method: JoinMethod::April,
     },
     Method {
         name: "P+C",
-        run: find_relation,
+        method: JoinMethod::PC,
     },
 ];
 
@@ -136,7 +149,7 @@ pub fn run_method(setup: &ComboSetup, method: &Method) -> MethodResult {
     let t = Instant::now();
     for &(i, j) in &setup.pairs {
         let (r, s) = setup.pair(i, j);
-        stats.record(&(method.run)(r, s));
+        stats.record(method.run(r, s).determination);
     }
     let total_time = t.elapsed();
     MethodResult {
@@ -157,7 +170,12 @@ pub fn profile_pc(setup: &ComboSetup) -> JoinProfile {
     let mut rec = Recorder::new();
     for &(i, j) in &setup.pairs {
         let (r, s) = setup.pair(i, j);
-        let _ = find_relation_profiled(r, s, &mut rec);
+        let mut ctx = PairCtx {
+            scratch: &mut RelateScratch::default(),
+            prof: &mut rec,
+            adaptive: None,
+        };
+        let _ = find_relation_with(r, s, &mut ctx);
     }
     rec.into_profile()
 }

@@ -3,8 +3,8 @@
 //! the runner.
 
 use stj_core::{
-    find_relation, find_relation_april, find_relation_op2, find_relation_st2, intermediate_filter,
-    relate_p, Dataset, IfOutcome, SpatialObject,
+    find_relation, intermediate_filter, relate_p, Dataset, IfOutcome, JoinMethod, PairCtx,
+    RelateScratch, SpatialObject,
 };
 use stj_de9im::{relate, TopoRelation};
 use stj_geom::Polygon;
@@ -29,10 +29,10 @@ pub enum InvariantKind {
     /// (e) The pair answers differently after a v2 write / zero-copy
     /// open round trip through [`stj_core::DatasetArena`].
     StorageFidelity,
-    /// (f) The streaming and materialized `TopologyJoin` executors
-    /// disagree on links, stats, or candidate counts over a dataset
-    /// assembled from the adversarial corpus (checked once per run by
-    /// the runner, not per pair).
+    /// (f) The parallel `TopologyJoin` executor disagrees with the
+    /// sequential [`crate::reference_join`] loop on links, stats, or
+    /// candidate counts over a dataset assembled from the adversarial
+    /// corpus (checked once per run by the runner, not per pair).
     ExecEquivalence,
     /// (g) The out-of-core driver over Hilbert-sharded files disagrees
     /// with the single-arena join on links, stats, or candidate counts
@@ -118,12 +118,18 @@ pub fn check_pair(a: &Polygon, b: &Polygon, grid: &Grid) -> PairVerdict {
 
     // (a) method agreement against the oracle.
     let pc = find_relation(r.view(), s.view());
-    for (method, got) in [
-        ("pc", pc),
-        ("st2", find_relation_st2(r.view(), s.view())),
-        ("op2", find_relation_op2(r.view(), s.view())),
-        ("april", find_relation_april(r.view(), s.view())),
+    let mut ctx = PairCtx {
+        scratch: &mut RelateScratch::default(),
+        prof: &mut stj_obs::Disabled,
+        adaptive: None,
+    };
+    for (method, m) in [
+        ("pc", JoinMethod::PC),
+        ("st2", JoinMethod::St2),
+        ("op2", JoinMethod::Op2),
+        ("april", JoinMethod::April),
     ] {
+        let got = m.find_relation(r.view(), s.view(), &mut ctx);
         if got.relation != truth {
             return Err((
                 InvariantKind::MethodAgreement,

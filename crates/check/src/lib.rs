@@ -29,5 +29,5 @@ mod shrink;
 
 pub use invariants::{check_pair, InvariantKind, PairVerdict};
 pub use report::write_repro;
-pub use runner::{run_check, CheckConfig, CheckReport, Violation};
+pub use runner::{reference_join, run_check, CheckConfig, CheckReport, Violation};
 pub use shrink::shrink_pair;

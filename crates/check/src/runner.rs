@@ -6,11 +6,14 @@ use crate::invariants::{check_pair, InvariantKind};
 use crate::shrink::shrink_pair;
 use std::time::Instant;
 use stj_core::{
-    AdaptiveMode, Dataset, DatasetArena, ExecStrategy, Link, PipelineStats, TopologyJoin,
+    relate_p_with, AdaptiveMode, Dataset, DatasetArena, JoinMethod, JoinResult, Link, PairCtx,
+    PipelineStats, RelateScratch, TopologyJoin,
 };
 use stj_datagen::adversarial::{adversarial_pair, adversarial_space, CATEGORIES};
+use stj_de9im::TopoRelation;
 use stj_geom::wkt::polygon_to_wkt;
-use stj_obs::Json;
+use stj_index::mbr_join;
+use stj_obs::{Json, Profiler, Recorder};
 use stj_raster::Grid;
 use stj_store::{external_join_files, write_sharded, ShardedDataset};
 
@@ -190,7 +193,7 @@ fn check_range(config: &CheckConfig, grid: &Grid, lo: u64, hi: u64) -> WorkerSta
         let pair = adversarial_pair(config.seed, index);
         state.category_counts[(index % CATEGORIES.len() as u64) as usize] += 1;
         match check_pair(&pair.a, &pair.b, grid) {
-            Ok(outcome) => state.pipeline.record(&outcome),
+            Ok(outcome) => state.pipeline.record(outcome.determination),
             Err((kind, detail)) => {
                 state.violation_counts[kind_slot(kind)] += 1;
                 if state.violations.len() < config.max_violations {
@@ -210,11 +213,66 @@ fn check_range(config: &CheckConfig, grid: &Grid, lo: u64, hi: u64) -> WorkerSta
     state
 }
 
+/// The sequential reference join the executor is checked against: the
+/// full candidate list from [`mbr_join()`], then every pair through the
+/// per-pair entry point ([`JoinMethod::find_relation`], or
+/// [`relate_p_with`] for a predicate) with a [`Recorder`] profiler. It
+/// shares no scheduling code with [`TopologyJoin`]; links come out in
+/// candidate order, `sched`, `trace` and `adaptive` are `None`.
+pub fn reference_join(
+    left: &DatasetArena,
+    right: &DatasetArena,
+    method: JoinMethod,
+    predicate: Option<TopoRelation>,
+) -> JoinResult {
+    let pairs = mbr_join(left.mbrs(), right.mbrs());
+    let mut prof = Recorder::default();
+    let mut ctx = PairCtx {
+        scratch: &mut RelateScratch::default(),
+        prof: &mut prof,
+        adaptive: None,
+    };
+    let mut links = Vec::new();
+    let mut stats = PipelineStats::default();
+    for &(i, j) in &pairs {
+        let (r, s) = (left.object(i as usize), right.object(j as usize));
+        let (determination, relation) = match predicate {
+            None => {
+                let out = method.find_relation(r, s, &mut ctx);
+                let link = out.relation != TopoRelation::Disjoint;
+                (out.determination, link.then_some(out.relation))
+            }
+            Some(p) => {
+                let out = relate_p_with(r, s, p, &mut ctx);
+                (out.determination, out.holds.then_some(p))
+            }
+        };
+        stats.record(determination);
+        if let Some(relation) = relation {
+            links.push(Link {
+                r: i,
+                s: j,
+                relation,
+            });
+        }
+    }
+    JoinResult {
+        links,
+        candidates: pairs.len() as u64,
+        stats,
+        profile: prof.finish(),
+        sched: None,
+        trace: None,
+        adaptive: None,
+    }
+}
+
 /// Invariant (f): over datasets assembled from the adversarial corpus
 /// (pair `i`'s `a` polygon becomes left object `i`, its `b` polygon
-/// right object `i`, capped at [`EXEC_SAMPLE_CAP`] pairs), the streaming
-/// executor must reproduce the materialized executor's links, stats, and
-/// candidate count exactly — sequentially and at the run's thread count.
+/// right object `i`, capped at [`EXEC_SAMPLE_CAP`] pairs), the parallel
+/// executor must reproduce the sequential [`reference_join`]'s links,
+/// stats, and candidate count exactly — sequentially and at the run's
+/// thread count.
 fn check_exec_equivalence(config: &CheckConfig, grid: &Grid) -> Result<(), Violation> {
     let sample = config.pairs.min(EXEC_SAMPLE_CAP);
     if sample == 0 {
@@ -223,28 +281,22 @@ fn check_exec_equivalence(config: &CheckConfig, grid: &Grid) -> Result<(), Viola
     let (left, right) = sample_arenas(config, grid, sample);
     let threads = config.threads.max(1);
 
-    let baseline = TopologyJoin::new()
-        .strategy(ExecStrategy::Materialized)
-        .threads(1)
-        .run(&left, &right);
+    let baseline = reference_join(&left, &right, JoinMethod::PC, None);
     let mut base_links = baseline.links.clone();
     base_links.sort_by_key(|l| (l.r, l.s));
 
     for t in [1, threads] {
-        let got = TopologyJoin::new()
-            .strategy(ExecStrategy::Streaming)
-            .threads(t)
-            .run(&left, &right);
+        let got = TopologyJoin::new().threads(t).run(&left, &right);
         let mut got_links = got.links.clone();
         got_links.sort_by_key(|l| (l.r, l.s));
         let detail = if got.candidates != baseline.candidates {
             Some(format!(
-                "streaming({t} thread(s)) examined {} candidates, materialized {}",
+                "executor({t} thread(s)) examined {} candidates, reference {}",
                 got.candidates, baseline.candidates
             ))
         } else if got.stats != baseline.stats {
             Some(format!(
-                "streaming({t} thread(s)) stats {:?} != materialized {:?}",
+                "executor({t} thread(s)) stats {:?} != reference {:?}",
                 got.stats, baseline.stats
             ))
         } else if got_links != base_links {
@@ -474,7 +526,7 @@ fn first_link_diff(base: &[Link], got: &[Link]) -> Option<(u32, u32)> {
 fn link_diff_detail(threads: usize, base: &[Link], got: &[Link]) -> String {
     let at = first_link_diff(base, got);
     format!(
-        "streaming({threads} thread(s)) produced {} links, materialized {}; first divergence at {:?}",
+        "executor({threads} thread(s)) produced {} links, reference {}; first divergence at {:?}",
         got.len(),
         base.len(),
         at

@@ -33,11 +33,17 @@
 //!   one-way, within a few dozen pairs per worker.
 //! - **Soundness**: skipping is *always* sound. The intermediate filter
 //!   only ever pre-empts DE-9IM refinement, and refinement is exact —
-//!   a skipped pair takes the `refine_with` path over the MBR class's
+//!   a skipped pair goes straight to refinement over the MBR class's
 //!   own candidate set and produces the identical relation. Only the
 //!   stage-attribution split (`by_intermediate` vs `refined`) moves;
 //!   links and relations are bit-identical to the static pipeline
 //!   (enforced by `stj-check` invariant (h), `adaptive_equivalence`).
+//!
+//! The pipeline itself does not fork: [`crate::find_relation_with`] and
+//! [`crate::relate_p_with`] take the worker through
+//! [`crate::PairCtx::adaptive`] and ask it, per pair, whether to run the
+//! intermediate stage and whether to time it; without a worker they
+//! always run it, untimed.
 //!
 //! The model is shared state safe to hold across joins: `stj-serve`
 //! keeps one resident [`AdaptiveModel`] and warms it across online
@@ -45,15 +51,11 @@
 //! ([`AdaptiveModel::probe_interval_cap`]) once the verdicts say the
 //! intermediate stage is not earning its precision.
 
-use crate::arena::ObjectRef;
-use crate::filters::{intermediate_filter, IfOutcome};
-use crate::pipeline::{refine_with, Determination, FindOutcome};
-use crate::relate_pred::{mbr_verdict, raster_verdict, RelateDetermination, RelateOutcome};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::time::Instant;
-use stj_de9im::{relate_with, RelateScratch, TopoRelation};
+use stj_de9im::TopoRelation;
 use stj_index::MbrRelation;
-use stj_obs::{Json, Profiler, Stage};
+use stj_obs::Json;
 
 /// Pairs a cell must observe through the APRIL stage before its verdict
 /// settles. Small enough to converge early in any join worth adapting,
@@ -561,6 +563,18 @@ impl AdaptiveReport {
     }
 }
 
+/// One pair's route through the intermediate stage, read from the
+/// worker's cached cell verdict by [`AdaptiveWorker::gate`].
+#[derive(Clone, Copy)]
+pub(crate) struct Gate {
+    idx: usize,
+    /// The cell's verdict is *skip*: go straight to refinement.
+    pub(crate) skip: bool,
+    /// Time this pair's stages: a warm-up sample, or a post-skip audit
+    /// sample of its refinement.
+    pub(crate) timed: bool,
+}
+
 /// Per-worker adaptive state: local counter deltas, cached verdicts,
 /// and the merge cadence. Create one per worker from the shared model;
 /// call [`AdaptiveWorker::flush`] before dropping it so the final
@@ -632,41 +646,61 @@ impl<'a> AdaptiveWorker<'a> {
         self.ticks.is_multiple_of(POST_SAMPLE_PERIOD)
     }
 
-    fn note_pair(
+    /// Routes one pair of MBR class `class` in query mode `predicate`
+    /// (`None` = find-relation) by its cell's verdict.
+    pub(crate) fn gate(&mut self, class: MbrRelation, predicate: Option<TopoRelation>) -> Gate {
+        let idx = cell_index(class as usize, mode_index(predicate));
+        match self.verdicts[idx] {
+            Verdict::Skip => Gate {
+                idx,
+                skip: true,
+                timed: self.sample_post_timer(idx),
+            },
+            verdict => Gate {
+                idx,
+                skip: false,
+                timed: verdict == Verdict::Warming && self.sample_timer(),
+            },
+        }
+    }
+
+    /// Records a gated pair's outcome: whether the intermediate stage
+    /// decided it, and the sampled stage costs (`None` when untimed).
+    pub(crate) fn record(
         &mut self,
-        idx: usize,
+        gate: Gate,
         decided: bool,
         april_ns: Option<u64>,
         refine_ns: Option<u64>,
     ) {
+        let idx = gate.idx;
         let cell = &mut self.cells[idx];
-        cell.pairs += 1;
-        cell.decided += u64::from(decided);
-        if let Some(ns) = april_ns {
-            cell.april_ns += ns;
-            cell.april_timed += 1;
-        }
-        if let Some(ns) = refine_ns {
-            cell.refine_ns += ns;
-            cell.refine_timed += 1;
-        }
-        self.bump();
-    }
-
-    fn note_skip(&mut self, idx: usize, refine_ns: Option<u64>) {
-        let cell = &mut self.cells[idx];
-        cell.skipped += 1;
-        if let Some(ns) = refine_ns {
-            cell.post_refine_ns += ns;
-            cell.post_refine_timed += 1;
-            // Enough local evidence to audit the skip verdict: fold this
-            // cell in eagerly (the model revisits on absorb) and pick up
-            // a possible skip → keep flip without waiting out the merge
-            // period — a mis-skip costs real refinement time every pair.
-            if cell.post_refine_timed >= REVISIT_SAMPLES {
-                self.model.absorb(idx, cell);
-                self.cells[idx] = LocalCell::default();
-                self.verdicts[idx] = self.model.verdict(idx);
+        if gate.skip {
+            cell.skipped += 1;
+            if let Some(ns) = refine_ns {
+                cell.post_refine_ns += ns;
+                cell.post_refine_timed += 1;
+                // Enough local evidence to audit the skip verdict: fold
+                // this cell in eagerly (the model revisits on absorb) and
+                // pick up a possible skip → keep flip without waiting out
+                // the merge period — a mis-skip costs real refinement
+                // time every pair.
+                if cell.post_refine_timed >= REVISIT_SAMPLES {
+                    self.model.absorb(idx, cell);
+                    self.cells[idx] = LocalCell::default();
+                    self.verdicts[idx] = self.model.verdict(idx);
+                }
+            }
+        } else {
+            cell.pairs += 1;
+            cell.decided += u64::from(decided);
+            if let Some(ns) = april_ns {
+                cell.april_ns += ns;
+                cell.april_timed += 1;
+            }
+            if let Some(ns) = refine_ns {
+                cell.refine_ns += ns;
+                cell.refine_timed += 1;
             }
         }
         self.bump();
@@ -674,181 +708,17 @@ impl<'a> AdaptiveWorker<'a> {
 }
 
 /// Nanoseconds elapsed since `t0`, saturating.
-fn elapsed_ns(t0: Instant) -> u64 {
+pub(crate) fn elapsed_ns(t0: Instant) -> u64 {
     t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
-}
-
-/// The adaptive variant of
-/// [`crate::pipeline::find_relation_profiled_with`]: identical links and
-/// relations, but the APRIL stage is consulted, timed, or skipped per
-/// the worker's cell verdicts.
-pub fn find_relation_adaptive_with<P: Profiler>(
-    r: ObjectRef<'_>,
-    s: ObjectRef<'_>,
-    prof: &mut P,
-    scratch: &mut RelateScratch,
-    adaptive: &mut AdaptiveWorker<'_>,
-) -> FindOutcome {
-    let t = prof.start();
-    let mbr_rel = MbrRelation::classify(r.mbr, s.mbr);
-    prof.stage(Stage::MbrClassify, t);
-    let out = match mbr_rel {
-        MbrRelation::Disjoint => {
-            prof.decided(Stage::MbrClassify);
-            FindOutcome {
-                relation: TopoRelation::Disjoint,
-                determination: Determination::MbrFilter,
-            }
-        }
-        MbrRelation::Cross => {
-            prof.decided(Stage::MbrClassify);
-            FindOutcome {
-                relation: TopoRelation::Intersects,
-                determination: Determination::MbrFilter,
-            }
-        }
-        _ => {
-            let idx = cell_index(mbr_rel as usize, mode_index(None));
-            match adaptive.verdicts[idx] {
-                Verdict::Skip => {
-                    // Sound by construction: refinement is exact and the
-                    // MBR class's own candidate set bounds the result.
-                    let t = prof.start();
-                    let t0 = adaptive.sample_post_timer(idx).then(Instant::now);
-                    let relation = refine_with(r, s, mbr_rel.candidates(), scratch);
-                    prof.stage(Stage::Refinement, t);
-                    prof.decided(Stage::Refinement);
-                    adaptive.note_skip(idx, t0.map(elapsed_ns));
-                    FindOutcome {
-                        relation,
-                        determination: Determination::Refinement,
-                    }
-                }
-                verdict => {
-                    let timed = verdict == Verdict::Warming && adaptive.sample_timer();
-                    let t = prof.start();
-                    let t0 = timed.then(Instant::now);
-                    let filtered = intermediate_filter(mbr_rel, r, s);
-                    let april_ns = t0.map(elapsed_ns);
-                    prof.stage(Stage::IntermediateFilter, t);
-                    match filtered {
-                        IfOutcome::Definite(relation) => {
-                            prof.decided(Stage::IntermediateFilter);
-                            adaptive.note_pair(idx, true, april_ns, None);
-                            FindOutcome {
-                                relation,
-                                determination: Determination::IntermediateFilter,
-                            }
-                        }
-                        IfOutcome::Refine(cands) => {
-                            let t = prof.start();
-                            let t1 = timed.then(Instant::now);
-                            let relation = refine_with(r, s, cands, scratch);
-                            let refine_ns = t1.map(elapsed_ns);
-                            prof.stage(Stage::Refinement, t);
-                            prof.decided(Stage::Refinement);
-                            adaptive.note_pair(idx, false, april_ns, refine_ns);
-                            FindOutcome {
-                                relation,
-                                determination: Determination::Refinement,
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    };
-    prof.mbr_class(
-        mbr_rel as usize,
-        out.determination == Determination::Refinement,
-    );
-    out
-}
-
-/// The adaptive variant of
-/// [`crate::relate_pred::relate_p_profiled_with`]: identical answers,
-/// with the raster-verdict layer consulted, timed, or skipped per the
-/// worker's (class × predicate) cell verdicts.
-pub fn relate_p_adaptive_with<P: Profiler>(
-    r: ObjectRef<'_>,
-    s: ObjectRef<'_>,
-    p: TopoRelation,
-    prof: &mut P,
-    scratch: &mut RelateScratch,
-    adaptive: &mut AdaptiveWorker<'_>,
-) -> RelateOutcome {
-    let t = prof.start();
-    let mbr_rel = MbrRelation::classify(r.mbr, s.mbr);
-    let l1 = mbr_verdict(mbr_rel, p);
-    prof.stage(Stage::MbrClassify, t);
-    if let Some(holds) = l1 {
-        prof.decided(Stage::MbrClassify);
-        prof.mbr_class(mbr_rel as usize, false);
-        return RelateOutcome {
-            holds,
-            determination: RelateDetermination::MbrFilter,
-        };
-    }
-
-    let idx = cell_index(mbr_rel as usize, mode_index(Some(p)));
-    let refine = |prof: &mut P,
-                  scratch: &mut RelateScratch,
-                  adaptive: &mut AdaptiveWorker<'_>,
-                  timed: bool| {
-        let t = prof.start();
-        let t1 = timed.then(Instant::now);
-        let m = relate_with(&r.geom, &s.geom, scratch);
-        let holds = p.holds(&m);
-        let ns = t1.map(elapsed_ns);
-        prof.stage(Stage::Refinement, t);
-        prof.decided(Stage::Refinement);
-        prof.mbr_class(mbr_rel as usize, true);
-        let _ = adaptive;
-        (holds, ns)
-    };
-
-    match adaptive.verdicts[idx] {
-        Verdict::Skip => {
-            let timed = adaptive.sample_post_timer(idx);
-            let (holds, ns) = refine(prof, scratch, adaptive, timed);
-            adaptive.note_skip(idx, ns);
-            RelateOutcome {
-                holds,
-                determination: RelateDetermination::Refinement,
-            }
-        }
-        verdict => {
-            let timed = verdict == Verdict::Warming && adaptive.sample_timer();
-            let t = prof.start();
-            let t0 = timed.then(Instant::now);
-            let l2 = raster_verdict(r, s, p);
-            let april_ns = t0.map(elapsed_ns);
-            prof.stage(Stage::IntermediateFilter, t);
-            if let Some(holds) = l2 {
-                prof.decided(Stage::IntermediateFilter);
-                prof.mbr_class(mbr_rel as usize, false);
-                adaptive.note_pair(idx, true, april_ns, None);
-                return RelateOutcome {
-                    holds,
-                    determination: RelateDetermination::IntermediateFilter,
-                };
-            }
-            let (holds, refine_ns) = refine(prof, scratch, adaptive, timed);
-            adaptive.note_pair(idx, false, april_ns, refine_ns);
-            RelateOutcome {
-                holds,
-                determination: RelateDetermination::Refinement,
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::object::SpatialObject;
-    use crate::pipeline::find_relation;
-    use crate::relate_pred::relate_p;
+    use crate::pipeline::{find_relation, find_relation_with, PairCtx};
+    use crate::relate_pred::{relate_p, relate_p_with};
+    use stj_de9im::RelateScratch;
     use stj_geom::{Polygon, Rect};
     use stj_obs::Disabled;
     use stj_raster::Grid;
@@ -859,6 +729,15 @@ mod tests {
 
     fn obj(x0: f64, y0: f64, x1: f64, y1: f64) -> SpatialObject {
         SpatialObject::build(Polygon::rect(Rect::from_coords(x0, y0, x1, y1)), &grid())
+    }
+
+    /// A timed gate on cell `idx`, for feeding synthetic costs.
+    fn gate(idx: usize, skip: bool) -> Gate {
+        Gate {
+            idx,
+            skip,
+            timed: true,
+        }
     }
 
     #[test]
@@ -886,12 +765,14 @@ mod tests {
         ];
         for r in &objects {
             for s in &objects {
-                let adaptive = find_relation_adaptive_with(
+                let adaptive = find_relation_with(
                     r.view(),
                     s.view(),
-                    &mut Disabled,
-                    &mut scratch,
-                    &mut worker,
+                    &mut PairCtx {
+                        scratch: &mut scratch,
+                        prof: &mut Disabled,
+                        adaptive: Some(&mut worker),
+                    },
                 );
                 let st = find_relation(r.view(), s.view());
                 assert_eq!(adaptive.relation, st.relation);
@@ -902,13 +783,15 @@ mod tests {
                     TopoRelation::Intersects,
                     TopoRelation::Meets,
                 ] {
-                    let ad = relate_p_adaptive_with(
+                    let ad = relate_p_with(
                         r.view(),
                         s.view(),
                         p,
-                        &mut Disabled,
-                        &mut scratch,
-                        &mut worker,
+                        &mut PairCtx {
+                            scratch: &mut scratch,
+                            prof: &mut Disabled,
+                            adaptive: Some(&mut worker),
+                        },
                     );
                     assert_eq!(ad.holds, relate_p(r.view(), s.view(), p).holds, "{p:?}");
                 }
@@ -934,12 +817,14 @@ mod tests {
         // separately with synthetic costs) cannot engage — with real
         // timings on tiny objects its flip direction is noise.
         for _ in 0..12 {
-            let out = find_relation_adaptive_with(
+            let out = find_relation_with(
                 a.view(),
                 b.view(),
-                &mut Disabled,
-                &mut scratch,
-                &mut worker,
+                &mut PairCtx {
+                    scratch: &mut scratch,
+                    prof: &mut Disabled,
+                    adaptive: Some(&mut worker),
+                },
             );
             assert_eq!(out.relation, TopoRelation::Meets);
             worker.flush();
@@ -967,7 +852,7 @@ mod tests {
         let mut worker = AdaptiveWorker::new(&model);
         let idx = cell_index(MbrRelation::Equal as usize, mode_index(None));
         for _ in 0..8 {
-            worker.note_pair(idx, false, Some(500), Some(100));
+            worker.record(gate(idx, false), false, Some(500), Some(100));
         }
         worker.flush();
         assert_eq!(model.verdict(idx), Verdict::Skip);
@@ -978,13 +863,13 @@ mod tests {
         // worker folds in REVISIT_SAMPLES realized samples, without
         // waiting for a merge period.
         for _ in 0..REVISIT_SAMPLES {
-            worker.note_skip(idx, Some(5_000));
+            worker.record(gate(idx, true), false, None, Some(5_000));
         }
         assert_eq!(model.verdict(idx), Verdict::Keep);
         assert_eq!(worker.verdicts[idx], Verdict::Keep, "eager refresh");
         // The flip is one-way: further cheap evidence cannot re-skip.
         for _ in 0..REVISIT_SAMPLES {
-            worker.note_skip(idx, Some(1));
+            worker.record(gate(idx, true), false, None, Some(1));
         }
         assert_eq!(model.verdict(idx), Verdict::Keep);
     }
@@ -997,12 +882,12 @@ mod tests {
         let mut worker = AdaptiveWorker::new(&model);
         let idx = cell_index(MbrRelation::Overlap as usize, mode_index(None));
         for _ in 0..8 {
-            worker.note_pair(idx, false, Some(500), Some(100));
+            worker.record(gate(idx, false), false, Some(500), Some(100));
         }
         worker.flush();
         assert_eq!(model.verdict(idx), Verdict::Skip);
         for _ in 0..4 * REVISIT_SAMPLES {
-            worker.note_skip(idx, Some(100));
+            worker.record(gate(idx, true), false, None, Some(100));
         }
         worker.flush();
         assert_eq!(model.verdict(idx), Verdict::Skip);
@@ -1018,12 +903,14 @@ mod tests {
         let outer = obj(0.0, 0.0, 90.0, 90.0);
         let inner = obj(40.0, 40.0, 50.0, 50.0);
         for _ in 0..64 {
-            let out = find_relation_adaptive_with(
+            let out = find_relation_with(
                 inner.view(),
                 outer.view(),
-                &mut Disabled,
-                &mut scratch,
-                &mut worker,
+                &mut PairCtx {
+                    scratch: &mut scratch,
+                    prof: &mut Disabled,
+                    adaptive: Some(&mut worker),
+                },
             );
             assert_eq!(out.relation, TopoRelation::Inside);
             worker.flush();

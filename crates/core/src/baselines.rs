@@ -14,48 +14,82 @@
 //! | P+C | Figure 4 classification | full Figure 5 flows | undetermined pairs only |
 
 use crate::arena::ObjectRef;
-use crate::pipeline::{Determination, FindOutcome};
+use crate::pipeline::{find_relation_with, Determination, FindOutcome, PairCtx};
 use stj_de9im::{relate_with, RelateScratch, TopoRelation};
 use stj_index::MbrRelation;
+use stj_obs::Profiler;
+
+/// Which find-relation method a pair (or a [`crate::TopologyJoin`]) uses.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+pub enum JoinMethod {
+    /// The paper's P+C pipeline (default).
+    #[default]
+    PC,
+    /// Standard two-phase (MBR + full DE-9IM).
+    St2,
+    /// Typed-MBR two-phase.
+    Op2,
+    /// APRIL intersection-only intermediate filter.
+    April,
+}
+
+impl JoinMethod {
+    /// Solves *find relation* for one pair with this method, through the
+    /// worker's [`PairCtx`]. P+C runs [`find_relation_with`]. The
+    /// baselines are not instrumented internally: when profiling, the
+    /// whole call is timed and attributed to the stage that decided the
+    /// pair (no per-MBR-class breakdown), and they never consult the
+    /// adaptive worker.
+    #[inline]
+    pub fn find_relation<P: Profiler>(
+        self,
+        r: ObjectRef<'_>,
+        s: ObjectRef<'_>,
+        ctx: &mut PairCtx<'_, '_, P>,
+    ) -> FindOutcome {
+        let baseline = match self {
+            JoinMethod::PC => return find_relation_with(r, s, ctx),
+            JoinMethod::St2 => st2,
+            JoinMethod::Op2 => op2,
+            JoinMethod::April => april,
+        };
+        let t = ctx.prof.start();
+        let out = baseline(r, s, ctx.scratch);
+        if P::ENABLED {
+            let stage = out.determination.stage();
+            ctx.prof.stage(stage, t);
+            ctx.prof.decided(stage);
+        }
+        out
+    }
+}
+
+/// Refinement's answer: the most specific relation of the full matrix.
+fn refined(relation: TopoRelation) -> FindOutcome {
+    FindOutcome {
+        relation,
+        determination: Determination::Refinement,
+    }
+}
 
 /// ST2 — standard 2-phase: MBR intersect test, then a full DE-9IM
 /// computation matched against all masks.
-pub fn find_relation_st2(r: ObjectRef<'_>, s: ObjectRef<'_>) -> FindOutcome {
-    find_relation_st2_with(r, s, &mut RelateScratch::default())
-}
-
-/// [`find_relation_st2`] through caller-owned scratch memory.
-pub fn find_relation_st2_with(
-    r: ObjectRef<'_>,
-    s: ObjectRef<'_>,
-    scratch: &mut RelateScratch,
-) -> FindOutcome {
+fn st2(r: ObjectRef<'_>, s: ObjectRef<'_>, scratch: &mut RelateScratch) -> FindOutcome {
     if !r.mbr.intersects(s.mbr) {
         return FindOutcome {
             relation: TopoRelation::Disjoint,
             determination: Determination::MbrFilter,
         };
     }
-    let m = relate_with(&r.geom, &s.geom, scratch);
-    FindOutcome {
-        relation: TopoRelation::most_specific(&m),
-        determination: Determination::Refinement,
-    }
+    refined(TopoRelation::most_specific(&relate_with(
+        &r.geom, &s.geom, scratch,
+    )))
 }
 
 /// OP2 — optimized 2-phase: the Figure 4 MBR classification narrows the
 /// candidate masks (and decides crossing-MBR pairs outright), but every
 /// other pair still pays for the DE-9IM matrix.
-pub fn find_relation_op2(r: ObjectRef<'_>, s: ObjectRef<'_>) -> FindOutcome {
-    find_relation_op2_with(r, s, &mut RelateScratch::default())
-}
-
-/// [`find_relation_op2`] through caller-owned scratch memory.
-pub fn find_relation_op2_with(
-    r: ObjectRef<'_>,
-    s: ObjectRef<'_>,
-    scratch: &mut RelateScratch,
-) -> FindOutcome {
+fn op2(r: ObjectRef<'_>, s: ObjectRef<'_>, scratch: &mut RelateScratch) -> FindOutcome {
     let mbr_rel = MbrRelation::classify(r.mbr, s.mbr);
     match mbr_rel {
         MbrRelation::Disjoint => FindOutcome {
@@ -70,16 +104,14 @@ pub fn find_relation_op2_with(
             let m = relate_with(&r.geom, &s.geom, scratch);
             // Walk only the candidate masks, specific→general; the
             // narrowed sets are provably complete for each MBR class.
-            let relation = mbr_rel
-                .candidates()
-                .iter()
-                .copied()
-                .find(|rel| rel.holds(&m))
-                .unwrap_or_else(|| TopoRelation::most_specific(&m));
-            FindOutcome {
-                relation,
-                determination: Determination::Refinement,
-            }
+            refined(
+                mbr_rel
+                    .candidates()
+                    .iter()
+                    .copied()
+                    .find(|rel| rel.holds(&m))
+                    .unwrap_or_else(|| TopoRelation::most_specific(&m)),
+            )
         }
     }
 }
@@ -88,16 +120,7 @@ pub fn find_relation_op2_with(
 /// disjointness and definite intersection, but as it cannot specialize
 /// beyond `intersects`, every non-disjoint pair still requires the DE-9IM
 /// matrix to find the *most specific* relation.
-pub fn find_relation_april(r: ObjectRef<'_>, s: ObjectRef<'_>) -> FindOutcome {
-    find_relation_april_with(r, s, &mut RelateScratch::default())
-}
-
-/// [`find_relation_april`] through caller-owned scratch memory.
-pub fn find_relation_april_with(
-    r: ObjectRef<'_>,
-    s: ObjectRef<'_>,
-    scratch: &mut RelateScratch,
-) -> FindOutcome {
+fn april(r: ObjectRef<'_>, s: ObjectRef<'_>, scratch: &mut RelateScratch) -> FindOutcome {
     if !r.mbr.intersects(s.mbr) {
         return FindOutcome {
             relation: TopoRelation::Disjoint,
@@ -113,11 +136,9 @@ pub fn find_relation_april_with(
     // The APRIL filter can also prove intersection (C∩P contact), but for
     // find-relation that knowledge cannot skip refinement: a more
     // specific relation may hold. Only disjointness short-circuits.
-    let m = relate_with(&r.geom, &s.geom, scratch);
-    FindOutcome {
-        relation: TopoRelation::most_specific(&m),
-        determination: Determination::Refinement,
-    }
+    refined(TopoRelation::most_specific(&relate_with(
+        &r.geom, &s.geom, scratch,
+    )))
 }
 
 #[cfg(test)]
@@ -126,6 +147,7 @@ mod tests {
     use crate::object::SpatialObject;
     use crate::pipeline::find_relation;
     use stj_geom::{Polygon, Rect};
+    use stj_obs::Disabled;
     use stj_raster::Grid;
 
     fn grid() -> Grid {
@@ -134,6 +156,18 @@ mod tests {
 
     fn obj(x0: f64, y0: f64, x1: f64, y1: f64) -> SpatialObject {
         SpatialObject::build(Polygon::rect(Rect::from_coords(x0, y0, x1, y1)), &grid())
+    }
+
+    fn run(method: JoinMethod, r: &SpatialObject, s: &SpatialObject) -> FindOutcome {
+        method.find_relation(
+            r.view(),
+            s.view(),
+            &mut PairCtx {
+                scratch: &mut RelateScratch::default(),
+                prof: &mut Disabled,
+                adaptive: None,
+            },
+        )
     }
 
     fn catalog() -> Vec<SpatialObject> {
@@ -173,9 +207,9 @@ mod tests {
         let objs = catalog();
         for r in &objs {
             for s in &objs {
-                let expect = find_relation_st2(r.view(), s.view()).relation;
-                assert_eq!(find_relation_op2(r.view(), s.view()).relation, expect);
-                assert_eq!(find_relation_april(r.view(), s.view()).relation, expect);
+                let expect = run(JoinMethod::St2, r, s).relation;
+                assert_eq!(run(JoinMethod::Op2, r, s).relation, expect);
+                assert_eq!(run(JoinMethod::April, r, s).relation, expect);
                 assert_eq!(find_relation(r.view(), s.view()).relation, expect);
             }
         }
@@ -186,12 +220,12 @@ mod tests {
         let a = obj(0.0, 0.0, 50.0, 50.0);
         let b = obj(10.0, 10.0, 30.0, 30.0);
         assert_eq!(
-            find_relation_st2(a.view(), b.view()).determination,
+            run(JoinMethod::St2, &a, &b).determination,
             Determination::Refinement
         );
         let far = obj(90.0, 90.0, 95.0, 95.0);
         assert_eq!(
-            find_relation_st2(a.view(), far.view()).determination,
+            run(JoinMethod::St2, &a, &far).determination,
             Determination::MbrFilter
         );
     }
@@ -200,7 +234,7 @@ mod tests {
     fn op2_decides_cross_without_refinement() {
         let wide = obj(0.0, 40.0, 100.0, 60.0);
         let tall = obj(40.0, 0.0, 60.0, 100.0);
-        let out = find_relation_op2(wide.view(), tall.view());
+        let out = run(JoinMethod::Op2, &wide, &tall);
         assert_eq!(out.determination, Determination::MbrFilter);
         assert_eq!(out.relation, TopoRelation::Intersects);
     }
@@ -215,7 +249,7 @@ mod tests {
             Polygon::from_coords(vec![(40.0, 40.0), (40.0, 39.0), (39.0, 40.0)], vec![]).unwrap(),
             &grid(),
         );
-        let out = find_relation_april(t1.view(), t2.view());
+        let out = run(JoinMethod::April, &t1, &t2);
         assert_eq!(out.relation, TopoRelation::Disjoint);
         assert_eq!(out.determination, Determination::IntermediateFilter);
     }
@@ -227,7 +261,7 @@ mod tests {
         let outer = obj(0.0, 0.0, 90.0, 90.0);
         let inner = obj(40.0, 40.0, 50.0, 50.0);
         assert_eq!(
-            find_relation_april(inner.view(), outer.view()).determination,
+            run(JoinMethod::April, &inner, &outer).determination,
             Determination::Refinement
         );
         assert_eq!(

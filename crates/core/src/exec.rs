@@ -2,32 +2,26 @@
 //!
 //! [`TopologyJoin`] is the high-level entry point a downstream system
 //! would use: configure the method (P+C or a baseline), optionally a
-//! single predicate (`relate_p` mode), the thread count, and the
-//! execution strategy; run it over two preprocessed [`Dataset`]s and get
-//! every non-disjoint pair's relation plus aggregate statistics.
+//! single predicate (`relate_p` mode) and the thread count; run it over
+//! two preprocessed [`crate::Dataset`]s and get every non-disjoint
+//! pair's relation plus aggregate statistics.
 //!
-//! # Execution strategies
+//! # Execution
 //!
-//! Two [`ExecStrategy`] variants produce identical links (up to order),
-//! [`PipelineStats`], and profile totals:
-//!
-//! - [`ExecStrategy::Streaming`] (default) — the fused executor. Workers
-//!   claim [`TileTask`]s from a shared atomic counter (work-stealing by
-//!   construction), generate each task's candidate pairs into a small
-//!   per-worker batch buffer, and run the P+C pipeline (or the selected
-//!   baseline / predicate runner) over the batch immediately, while the
-//!   MBRs and APRIL spans touched by the filter step are still
-//!   cache-hot. Peak candidate-buffer memory is `O(threads ×`
-//!   [`STREAM_BATCH_PAIRS`]`)` regardless of the candidate count, and
-//!   dense tiles are split into sub-range tasks so one hot spot cannot
-//!   serialize the join.
-//! - [`ExecStrategy::Materialized`] — the original two-phase shape: run
-//!   the full MBR join first (`O(candidates)` memory), then static-chunk
-//!   the pair list across workers. Kept for differential testing and for
-//!   callers who want the raw candidate list via `stj_index::mbr_join*`.
+//! One fused, streaming executor. Workers claim [`TileTask`]s from a
+//! shared atomic counter (work-stealing by construction), generate each
+//! task's candidate pairs into a small per-worker batch buffer, and run
+//! every pair of the batch through one [`PairCtx`] entry point
+//! ([`JoinMethod::find_relation`], or [`relate_p_with`] in predicate
+//! mode) while the MBRs and APRIL spans touched by the filter step are
+//! still cache-hot. Peak candidate-buffer memory is `O(threads ×`
+//! [`STREAM_BATCH_PAIRS`]`)` regardless of the candidate count, and
+//! dense tiles are split into sub-range tasks so one hot spot cannot
+//! serialize the join. Callers who want the raw candidate list use
+//! `stj_index::mbr_join` directly.
 //!
 //! Parallel runs merge per-thread stats at the end, so the aggregate
-//! matches a sequential run exactly under either strategy.
+//! matches a sequential run exactly.
 //!
 //! # Observability
 //!
@@ -41,36 +35,30 @@
 //!   dispatched: when off, the pair loop monomorphizes to the
 //!   uninstrumented code.
 //! - [`TopologyJoin::traced`] turns on the flight recorder: each
-//!   streaming worker records one [`stj_obs::SpanRecord`] per tile task
+//!   worker records one [`stj_obs::SpanRecord`] per tile task
 //!   into a private fixed-capacity ring, assembled into a
 //!   [`JoinTrace`] after the scope (exportable as Chrome trace-event
 //!   JSON via `stj join --trace`). Tracing implies profiling, which
 //!   supplies the per-stage nanos inside each span.
-//! - Streaming runs always return a [`SchedReport`]: per-worker
+//! - Runs always return a [`SchedReport`]: per-worker
 //!   busy/idle nanos, task-claim and skew-split counts, and the
 //!   derived imbalance ratio. The cost is two `Instant` reads per tile
 //!   task, off the per-pair path.
 //! - [`TopologyJoin::progress`] prints a pairs/sec heartbeat to stderr
-//!   from a monitor thread while workers count pairs in batches. (The
-//!   streaming executor reports progress without a total: the candidate
-//!   count is only known once generation finishes.) Streaming workers
-//!   also feed per-task busy time into the meter, so heartbeats carry
-//!   worker utilization.
+//!   from a monitor thread while workers count pairs in batches. (It
+//!   reports progress without a total: the candidate count is only
+//!   known once generation finishes.) Workers also feed per-task busy
+//!   time into the meter, so heartbeats carry worker utilization.
 
-use crate::adaptive::{
-    find_relation_adaptive_with, relate_p_adaptive_with, AdaptiveMode, AdaptiveModel,
-    AdaptiveReport, AdaptiveWorker,
-};
-use crate::arena::{DatasetArena, ObjectRef};
-use crate::baselines::{find_relation_april_with, find_relation_op2_with, find_relation_st2_with};
-use crate::pipeline::{
-    find_relation_profiled_with, find_relation_with, FindOutcome, PipelineStats,
-};
-use crate::relate_pred::{relate_p_profiled_with, RelateDetermination};
+use crate::adaptive::{AdaptiveMode, AdaptiveModel, AdaptiveReport, AdaptiveWorker};
+use crate::arena::DatasetArena;
+use crate::baselines::JoinMethod;
+use crate::pipeline::{PairCtx, PipelineStats};
+use crate::relate_pred::relate_p_with;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 use stj_de9im::{RelateScratch, TopoRelation};
-use stj_index::{mbr_join_parallel, MbrRelation, TileTask, Tiling, DEFAULT_SPLIT_THRESHOLD};
+use stj_index::{MbrRelation, TileTask, Tiling, DEFAULT_SPLIT_THRESHOLD};
 use stj_obs::{
     Disabled, JoinProfile, JoinTrace, Profiler, Progress, ProgressBatch, Recorder, SchedReport,
     SpanRecord, SpanRing, WorkerSched, WorkerTrace, DEFAULT_TRACE_SPANS,
@@ -81,45 +69,6 @@ use stj_obs::{
 /// dispatch, small enough (32 KiB of pair ids) that the batch plus the
 /// tile's MBRs stay cache-resident.
 pub const STREAM_BATCH_PAIRS: usize = 4096;
-
-/// Which find-relation method a [`TopologyJoin`] uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum JoinMethod {
-    /// The paper's P+C pipeline (default).
-    #[default]
-    PC,
-    /// Standard two-phase (MBR + full DE-9IM).
-    St2,
-    /// Typed-MBR two-phase.
-    Op2,
-    /// APRIL intersection-only intermediate filter.
-    April,
-}
-
-impl JoinMethod {
-    /// The per-pair entry point for this method; every method runs
-    /// through the caller's (per-worker) relate scratch.
-    pub fn runner(self) -> fn(ObjectRef<'_>, ObjectRef<'_>, &mut RelateScratch) -> FindOutcome {
-        match self {
-            JoinMethod::PC => find_relation_with,
-            JoinMethod::St2 => find_relation_st2_with,
-            JoinMethod::Op2 => find_relation_op2_with,
-            JoinMethod::April => find_relation_april_with,
-        }
-    }
-}
-
-/// How a [`TopologyJoin`] schedules candidate generation and refinement.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ExecStrategy {
-    /// Fused tile-at-a-time execution: candidates stream from the tile
-    /// index straight into per-worker pipeline batches (default).
-    #[default]
-    Streaming,
-    /// Materialize the full candidate list first, then chunk it across
-    /// workers.
-    Materialized,
-}
 
 /// One discovered link: indexes into the joined datasets plus the
 /// detected relation.
@@ -148,12 +97,11 @@ pub struct JoinResult {
     /// Per-stage/per-class observation, when [`TopologyJoin::profiled`]
     /// (or [`TopologyJoin::traced`], which implies it) was requested.
     pub profile: Option<JoinProfile>,
-    /// Per-worker busy/idle/task tallies. Always present for streaming
-    /// runs; `None` for materialized runs (static chunking has no task
-    /// scheduler to measure).
+    /// Per-worker busy/idle/task tallies. Always present for
+    /// [`TopologyJoin`] runs; `None` for external (out-of-core) joins.
     pub sched: Option<SchedReport>,
     /// The flight-recorder trace, when [`TopologyJoin::traced`] was
-    /// requested on a streaming run.
+    /// requested.
     pub trace: Option<JoinTrace>,
     /// The adaptive controller's decision trace, when
     /// [`TopologyJoin::adaptive`] enabled it. `None` under
@@ -267,21 +215,19 @@ pub struct TopologyJoin {
     method: JoinMethod,
     predicate: Option<TopoRelation>,
     threads: usize,
-    strategy: ExecStrategy,
     profiled: bool,
     traced: bool,
     progress: bool,
     adaptive: AdaptiveMode,
 }
 
-/// Per-worker accumulation: links, stats, and (when profiling) the
-/// worker's finished profile.
-type WorkerPart = (Vec<Link>, PipelineStats, Option<JoinProfile>);
-
-/// A streaming worker's full output: the pipeline accumulation plus
-/// its scheduler tallies and (when tracing) its slice of the trace.
-struct StreamPart {
-    part: WorkerPart,
+/// A worker's output: its links, stats and (when profiling) finished
+/// profile, plus its scheduler tallies and (when tracing) its slice of
+/// the trace.
+struct WorkerPart {
+    links: Vec<Link>,
+    stats: PipelineStats,
+    profile: Option<JoinProfile>,
     sched: WorkerSched,
     trace: Option<WorkerTrace>,
 }
@@ -295,7 +241,7 @@ fn ns_since(epoch: Instant, now: Instant) -> u64 {
 
 impl TopologyJoin {
     /// A join with default configuration (P+C, find-relation mode,
-    /// streaming executor, auto-detected thread count, unprofiled).
+    /// auto-detected thread count, unprofiled).
     pub fn new() -> TopologyJoin {
         TopologyJoin::default()
     }
@@ -321,13 +267,6 @@ impl TopologyJoin {
         self
     }
 
-    /// Selects the execution strategy (default
-    /// [`ExecStrategy::Streaming`]).
-    pub fn strategy(mut self, strategy: ExecStrategy) -> TopologyJoin {
-        self.strategy = strategy;
-        self
-    }
-
     /// Enables per-stage profiling: the result's
     /// [`profile`](JoinResult::profile) is populated. Adds per-pair
     /// timing overhead; leave off for throughput measurements.
@@ -336,10 +275,10 @@ impl TopologyJoin {
         self
     }
 
-    /// Enables the flight recorder on streaming runs: the result's
+    /// Enables the flight recorder: the result's
     /// [`trace`](JoinResult::trace) carries one span per tile task.
     /// Implies [`TopologyJoin::profiled`] (spans embed per-stage
-    /// nanos). Materialized runs ignore this (no tile tasks to span).
+    /// nanos).
     pub fn traced(mut self, on: bool) -> TopologyJoin {
         self.traced = on;
         self
@@ -377,10 +316,7 @@ impl TopologyJoin {
     /// Runs the join over two columnar arenas (owned datasets convert
     /// via [`crate::Dataset::to_arena`]).
     pub fn run(&self, left: &DatasetArena, right: &DatasetArena) -> JoinResult {
-        match self.strategy {
-            ExecStrategy::Streaming => self.run_streaming(left, right, None),
-            ExecStrategy::Materialized => self.run_materialized(left, right),
-        }
+        self.stream(left, right, None)
     }
 
     /// Runs the join under resource limits — the entry point for online
@@ -388,10 +324,7 @@ impl TopologyJoin {
     /// hostage to an unbounded join.
     ///
     /// With empty `bounds` this is exactly [`TopologyJoin::run`]. With
-    /// limits set, the streaming executor is used regardless of the
-    /// configured strategy (only the fused tile-at-a-time path can stop
-    /// early without having paid for full candidate materialization up
-    /// front): workers check the limits between tile tasks and pair
+    /// limits set, workers check them between tile tasks and pair
     /// batches, so a tripped limit stops the join within one task per
     /// worker. `hit_link_cap` / `hit_deadline` report which limit
     /// fired; a capped run returns the `(r, s)`-smallest `max_links`
@@ -411,7 +344,7 @@ impl TopologyJoin {
             };
         }
         let limits = LimitState::new(&bounds);
-        let mut result = self.run_streaming(left, right, Some(&limits));
+        let mut result = self.stream(left, right, Some(&limits));
         let hit_link_cap = limits.hit_cap.load(Ordering::Relaxed);
         let hit_deadline = limits.hit_deadline.load(Ordering::Relaxed);
         if hit_link_cap {
@@ -426,75 +359,24 @@ impl TopologyJoin {
         }
     }
 
-    /// The adaptive model for one run, when the configured mode wants
-    /// one (baseline methods never consult it, so none is built).
-    fn run_model(&self) -> Option<AdaptiveModel> {
-        (self.adaptive.enabled() && (self.predicate.is_some() || self.method == JoinMethod::PC))
-            .then(|| AdaptiveModel::new(self.adaptive))
-    }
-
-    /// The materialized path: full MBR join, then static chunking.
-    fn run_materialized(&self, left: &DatasetArena, right: &DatasetArena) -> JoinResult {
-        let threads = self.worker_threads();
-        let pairs = mbr_join_parallel(left.mbrs(), right.mbrs(), threads);
-        let candidates = pairs.len() as u64;
-
-        let progress = self.progress.then(|| Progress::new(candidates));
-        let model = self.run_model();
-        let stop = AtomicBool::new(false);
-        let (links, stats, profile) = std::thread::scope(|scope| {
-            if let Some(p) = &progress {
-                scope.spawn(|| p.run_reporter(&stop, Duration::from_secs(1)));
-            }
-            let out = if self.profiled {
-                self.run_with::<Recorder>(
-                    left,
-                    right,
-                    &pairs,
-                    threads,
-                    progress.as_ref(),
-                    model.as_ref(),
-                )
-            } else {
-                self.run_with::<Disabled>(
-                    left,
-                    right,
-                    &pairs,
-                    threads,
-                    progress.as_ref(),
-                    model.as_ref(),
-                )
-            };
-            stop.store(true, Ordering::Release);
-            out
-        });
-        JoinResult {
-            links,
-            candidates,
-            stats,
-            profile,
-            sched: None,
-            trace: None,
-            adaptive: model.map(|m| m.report()),
-        }
-    }
-
-    /// The streaming fused path: workers claim tile tasks and pipeline
-    /// each task's candidates in cache-sized batches. `limits` (bounded
-    /// runs only) is consulted between tasks and batches.
-    fn run_streaming(
+    /// The fused path: workers claim tile tasks and pipeline each task's
+    /// candidates in cache-sized batches. `limits` (bounded runs only) is
+    /// consulted between tasks and batches.
+    fn stream(
         &self,
         left: &DatasetArena,
         right: &DatasetArena,
         limits: Option<&LimitState>,
     ) -> JoinResult {
         let threads = self.worker_threads();
-        // Candidate totals are unknown until generation finishes, so the
-        // heartbeat runs without a percentage.
-        let progress = self.progress.then(|| Progress::new(0));
-        let model = self.run_model();
+        let progress = self.progress.then(Progress::default);
+        // The adaptive model, when the configured mode wants one
+        // (baseline methods never consult it, so none is built).
+        let model = (self.adaptive.enabled()
+            && (self.predicate.is_some() || self.method == JoinMethod::PC))
+            .then(|| AdaptiveModel::new(self.adaptive));
         let stop = AtomicBool::new(false);
-        let ((links, stats, profile), sched, trace) = std::thread::scope(|scope| {
+        let mut result = std::thread::scope(|scope| {
             if let Some(p) = &progress {
                 scope.spawn(|| p.run_reporter(&stop, Duration::from_secs(1)));
             }
@@ -522,57 +404,15 @@ impl TopologyJoin {
             stop.store(true, Ordering::Release);
             out
         });
-        JoinResult {
-            links,
-            // Every candidate pair passes through the pipeline exactly
-            // once, so the stat counter is the candidate count.
-            candidates: stats.pairs,
-            stats,
-            profile,
-            sched: Some(sched),
-            trace,
-            adaptive: model.map(|m| m.report()),
-        }
+        result.adaptive = model.map(|m| m.report());
+        result
     }
 
-    /// Statically-dispatched materialized join body: each worker owns a
-    /// fresh `P`, finished profiles (if any) merge after the scope.
-    fn run_with<P: Profiler + Default + Send>(
-        &self,
-        left: &DatasetArena,
-        right: &DatasetArena,
-        pairs: &[(u32, u32)],
-        threads: usize,
-        progress: Option<&Progress>,
-        model: Option<&AdaptiveModel>,
-    ) -> WorkerPart {
-        let chunk = pairs.len().div_ceil(threads).max(1);
-        let mut parts: Vec<WorkerPart> = Vec::new();
-        if threads == 1 || pairs.len() < 2 * chunk {
-            parts.push(self.run_chunk::<P>(left, right, pairs, progress, model));
-        } else {
-            std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for slice in pairs.chunks(chunk) {
-                    handles.push(
-                        scope.spawn(move || {
-                            self.run_chunk::<P>(left, right, slice, progress, model)
-                        }),
-                    );
-                }
-                parts = handles
-                    .into_iter()
-                    .map(|h| h.join().expect("join worker panicked"))
-                    .collect();
-            });
-        }
-        merge_parts(parts)
-    }
-
-    /// Statically-dispatched streaming join body: `threads` workers
-    /// drain the shared task counter; per-worker state merges after the
-    /// scope, including scheduler tallies and (when tracing) the
-    /// per-worker span rings.
+    /// Statically-dispatched join body: `threads` workers drain the
+    /// shared task counter; per-worker links, stats and profiles merge
+    /// exactly after the scope, with scheduler tallies and (when
+    /// tracing) the per-worker span rings. The adaptive report is left
+    /// to the caller.
     fn stream_with<P: Profiler + Default + Send>(
         &self,
         left: &DatasetArena,
@@ -581,7 +421,7 @@ impl TopologyJoin {
         progress: Option<&Progress>,
         limits: Option<&LimitState>,
         model: Option<&AdaptiveModel>,
-    ) -> (WorkerPart, SchedReport, Option<JoinTrace>) {
+    ) -> JoinResult {
         let tiling = Tiling::for_inputs(left.mbrs(), right.mbrs());
         let tasks = tiling.tasks(DEFAULT_SPLIT_THRESHOLD);
         // A task is a skew-split when its ranges cover only a slice of
@@ -605,9 +445,9 @@ impl TopologyJoin {
         // The trace/sched epoch: everything is timestamped relative to
         // the start of the parallel region.
         let epoch = Instant::now();
-        let mut stream_parts: Vec<StreamPart> = Vec::new();
+        let mut parts: Vec<WorkerPart> = Vec::new();
         if workers == 1 {
-            stream_parts.push(self.stream_worker::<P>(
+            parts.push(self.stream_worker::<P>(
                 left, right, &tiling, &tasks, &splits, 0, epoch, &next, progress, limits, model,
             ));
         } else {
@@ -622,31 +462,44 @@ impl TopologyJoin {
                         )
                     }));
                 }
-                stream_parts = handles
+                parts = handles
                     .into_iter()
                     .map(|h| h.join().expect("join worker panicked"))
                     .collect();
             });
         }
         let wall_ns = ns_since(epoch, Instant::now());
-        let mut parts = Vec::with_capacity(stream_parts.len());
-        let mut scheds = Vec::with_capacity(stream_parts.len());
+        let mut links = Vec::new();
+        let mut stats = PipelineStats::default();
+        let mut profile: Option<JoinProfile> = None;
+        let mut scheds = Vec::with_capacity(parts.len());
         let mut traces = Vec::new();
-        for sp in stream_parts {
-            parts.push(sp.part);
-            scheds.push(sp.sched);
-            if let Some(t) = sp.trace {
-                traces.push(t);
+        for mut part in parts {
+            links.append(&mut part.links);
+            stats.merge(&part.stats);
+            if let Some(p) = part.profile {
+                profile.get_or_insert_with(JoinProfile::new).merge(&p);
             }
+            scheds.push(part.sched);
+            traces.extend(part.trace);
         }
-        let trace = self.traced.then_some(JoinTrace {
-            wall_ns,
-            workers: traces,
-        });
-        (merge_parts(parts), SchedReport::new(wall_ns, scheds), trace)
+        JoinResult {
+            links,
+            // Every candidate pair passes through the pipeline exactly
+            // once, so the stat counter is the candidate count.
+            candidates: stats.pairs,
+            stats,
+            profile,
+            sched: Some(SchedReport::new(wall_ns, scheds)),
+            trace: self.traced.then_some(JoinTrace {
+                wall_ns,
+                workers: traces,
+            }),
+            adaptive: None,
+        }
     }
 
-    /// One streaming worker: claim a task, stream its candidates into
+    /// One worker: claim a task, stream its candidates into
     /// the batch buffer, flush the pipeline whenever the buffer fills
     /// and at the end of the task, repeat until the queue drains. The
     /// buffer is the worker's only candidate storage — capacity
@@ -668,7 +521,7 @@ impl TopologyJoin {
         progress: Option<&Progress>,
         limits: Option<&LimitState>,
         model: Option<&AdaptiveModel>,
-    ) -> StreamPart {
+    ) -> WorkerPart {
         let mut prof = P::default();
         let mut batch = progress.map(ProgressBatch::new);
         let mut links = Vec::new();
@@ -680,6 +533,11 @@ impl TopologyJoin {
         // The worker's view of the shared adaptive model: local counter
         // deltas, merged periodically and at worker exit.
         let mut adaptive = model.map(AdaptiveWorker::new);
+        let mut ctx = PairCtx {
+            scratch: &mut scratch,
+            prof: &mut prof,
+            adaptive: adaptive.as_mut(),
+        };
         // Links already reported to `limits` (bounded runs).
         let mut noted = 0usize;
         let mut sched = WorkerSched::new(worker);
@@ -699,23 +557,15 @@ impl TopologyJoin {
             let task_start = Instant::now();
             let (pairs_before, links_before) = (stats.pairs, links.len() as u64);
             let stages_before = if ring.is_some() {
-                prof.stage_ns_totals()
+                ctx.prof.stage_ns_totals()
             } else {
                 [0; 3]
             };
             tiling.run_task(&tasks[t], left.mbrs(), right.mbrs(), &mut |i, j| {
                 buf.push((i, j));
                 if buf.len() == STREAM_BATCH_PAIRS {
-                    self.process_pairs::<P>(
-                        left,
-                        right,
-                        &buf,
-                        &mut prof,
-                        &mut links,
-                        &mut stats,
-                        &mut batch,
-                        &mut scratch,
-                        &mut adaptive,
+                    self.process_pairs(
+                        left, right, &buf, &mut ctx, &mut links, &mut stats, &mut batch,
                     );
                     buf.clear();
                     if let Some(l) = limits {
@@ -725,16 +575,8 @@ impl TopologyJoin {
                 }
             });
             if !buf.is_empty() {
-                self.process_pairs::<P>(
-                    left,
-                    right,
-                    &buf,
-                    &mut prof,
-                    &mut links,
-                    &mut stats,
-                    &mut batch,
-                    &mut scratch,
-                    &mut adaptive,
+                self.process_pairs(
+                    left, right, &buf, &mut ctx, &mut links, &mut stats, &mut batch,
                 );
                 buf.clear();
                 if let Some(l) = limits {
@@ -753,7 +595,7 @@ impl TopologyJoin {
                 p.add_busy(dur_ns);
             }
             if let Some(ring) = &mut ring {
-                let stages_after = prof.stage_ns_totals();
+                let stages_after = ctx.prof.stage_ns_totals();
                 let mut stage_ns = [0u64; 3];
                 for (i, s) in stage_ns.iter_mut().enumerate() {
                     *s = stages_after[i] - stages_before[i];
@@ -783,175 +625,55 @@ impl TopologyJoin {
             dropped: ring.dropped(),
             spans: ring.into_spans(),
         });
-        StreamPart {
-            part: (links, stats, prof.finish()),
+        WorkerPart {
+            links,
+            stats,
+            profile: prof.finish(),
             sched,
             trace,
         }
     }
 
-    /// One materialized worker: the whole chunk is a single batch.
-    fn run_chunk<P: Profiler + Default>(
-        &self,
-        left: &DatasetArena,
-        right: &DatasetArena,
-        pairs: &[(u32, u32)],
-        progress: Option<&Progress>,
-        model: Option<&AdaptiveModel>,
-    ) -> WorkerPart {
-        let mut prof = P::default();
-        let mut batch = progress.map(ProgressBatch::new);
-        let mut links = Vec::new();
-        let mut stats = PipelineStats::default();
-        let mut scratch = RelateScratch::default();
-        let mut adaptive = model.map(AdaptiveWorker::new);
-        self.process_pairs::<P>(
-            left,
-            right,
-            pairs,
-            &mut prof,
-            &mut links,
-            &mut stats,
-            &mut batch,
-            &mut scratch,
-            &mut adaptive,
-        );
-        if let Some(w) = &mut adaptive {
-            w.flush();
-        }
-        (links, stats, prof.finish())
-    }
-
-    /// The per-pair loop shared by both executors: runs the configured
-    /// method (or predicate) over `pairs`, appending links and folding
-    /// stats/profile into the caller's accumulators.
+    /// Runs the configured method (or predicate) over one batch of
+    /// `pairs`, appending links and folding stats/profile into the
+    /// worker's accumulators.
     #[allow(clippy::too_many_arguments)]
     fn process_pairs<P: Profiler>(
         &self,
         left: &DatasetArena,
         right: &DatasetArena,
         pairs: &[(u32, u32)],
-        prof: &mut P,
+        ctx: &mut PairCtx<'_, '_, P>,
         links: &mut Vec<Link>,
         stats: &mut PipelineStats,
         batch: &mut Option<ProgressBatch<'_>>,
-        scratch: &mut RelateScratch,
-        adaptive: &mut Option<AdaptiveWorker<'_>>,
     ) {
-        match self.predicate {
-            None => match self.method {
-                JoinMethod::PC => {
-                    for &(i, j) in pairs {
-                        let out = match adaptive.as_mut() {
-                            Some(w) => find_relation_adaptive_with(
-                                left.object(i as usize),
-                                right.object(j as usize),
-                                prof,
-                                scratch,
-                                w,
-                            ),
-                            None => find_relation_profiled_with(
-                                left.object(i as usize),
-                                right.object(j as usize),
-                                prof,
-                                scratch,
-                            ),
-                        };
-                        stats.record(&out);
-                        if out.relation != TopoRelation::Disjoint {
-                            links.push(Link {
-                                r: i,
-                                s: j,
-                                relation: out.relation,
-                            });
-                        }
-                        if let Some(b) = batch.as_mut() {
-                            b.tick();
-                        }
-                    }
+        for &(i, j) in pairs {
+            let (r, s) = (left.object(i as usize), right.object(j as usize));
+            let (determination, relation) = match self.predicate {
+                None => {
+                    let out = self.method.find_relation(r, s, ctx);
+                    let link = out.relation != TopoRelation::Disjoint;
+                    (out.determination, link.then_some(out.relation))
                 }
-                method => {
-                    // Baselines are not instrumented internally; when
-                    // profiling, the whole per-pair call is timed and
-                    // attributed to the stage that decided the pair
-                    // (no per-MBR-class breakdown).
-                    let run = method.runner();
-                    for &(i, j) in pairs {
-                        let t = prof.start();
-                        let out = run(left.object(i as usize), right.object(j as usize), scratch);
-                        if P::ENABLED {
-                            let stage = out.determination.stage();
-                            prof.stage(stage, t);
-                            prof.decided(stage);
-                        }
-                        stats.record(&out);
-                        if out.relation != TopoRelation::Disjoint {
-                            links.push(Link {
-                                r: i,
-                                s: j,
-                                relation: out.relation,
-                            });
-                        }
-                        if let Some(b) = batch.as_mut() {
-                            b.tick();
-                        }
-                    }
+                Some(p) => {
+                    let out = relate_p_with(r, s, p, ctx);
+                    (out.determination, out.holds.then_some(p))
                 }
-            },
-            Some(p) => {
-                for &(i, j) in pairs {
-                    let out = match adaptive.as_mut() {
-                        Some(w) => relate_p_adaptive_with(
-                            left.object(i as usize),
-                            right.object(j as usize),
-                            p,
-                            prof,
-                            scratch,
-                            w,
-                        ),
-                        None => relate_p_profiled_with(
-                            left.object(i as usize),
-                            right.object(j as usize),
-                            p,
-                            prof,
-                            scratch,
-                        ),
-                    };
-                    stats.pairs += 1;
-                    match out.determination {
-                        RelateDetermination::MbrFilter => stats.by_mbr += 1,
-                        RelateDetermination::IntermediateFilter => stats.by_intermediate += 1,
-                        RelateDetermination::Refinement => stats.refined += 1,
-                    }
-                    if out.holds {
-                        links.push(Link {
-                            r: i,
-                            s: j,
-                            relation: p,
-                        });
-                    }
-                    if let Some(b) = batch.as_mut() {
-                        b.tick();
-                    }
-                }
+            };
+            stats.record(determination);
+            if let Some(relation) = relation {
+                links.push(Link {
+                    r: i,
+                    s: j,
+                    relation,
+                });
+            }
+            if let Some(b) = batch.as_mut() {
+                b.tick();
             }
         }
     }
-}
-
-/// Concatenates worker links and merges stats/profiles exactly.
-fn merge_parts(parts: Vec<WorkerPart>) -> WorkerPart {
-    let mut links = Vec::new();
-    let mut stats = PipelineStats::default();
-    let mut profile: Option<JoinProfile> = None;
-    for (mut l, st, prof) in parts {
-        links.append(&mut l);
-        stats.merge(&st);
-        if let Some(p) = prof {
-            profile.get_or_insert_with(JoinProfile::new).merge(&p);
-        }
-    }
-    (links, stats, profile)
 }
 
 #[cfg(test)]
@@ -1027,27 +749,6 @@ mod tests {
                 sorted_links(par.links.clone())
             );
             assert_eq!(seq.stats, par.stats);
-        }
-    }
-
-    #[test]
-    fn strategies_agree_on_links_stats_and_candidates() {
-        let (l, r) = datasets();
-        for threads in [1, 3] {
-            let streaming = TopologyJoin::new()
-                .strategy(ExecStrategy::Streaming)
-                .threads(threads)
-                .run(&l, &r);
-            let materialized = TopologyJoin::new()
-                .strategy(ExecStrategy::Materialized)
-                .threads(threads)
-                .run(&l, &r);
-            assert_eq!(
-                sorted_links(streaming.links.clone()),
-                sorted_links(materialized.links.clone())
-            );
-            assert_eq!(streaming.stats, materialized.stats);
-            assert_eq!(streaming.candidates, materialized.candidates);
         }
     }
 
@@ -1175,8 +876,8 @@ mod tests {
         let grid = Grid::new(Rect::from_coords(0.0, 0.0, 1.0, 1.0), 4);
         let empty = Dataset::build("E", vec![], &grid).to_arena();
         let (l, _) = datasets();
-        for strategy in [ExecStrategy::Streaming, ExecStrategy::Materialized] {
-            let out = TopologyJoin::new().strategy(strategy).run(&l, &empty);
+        for (l, r) in [(&l, &empty), (&empty, &l)] {
+            let out = TopologyJoin::new().run(l, r);
             assert!(out.links.is_empty());
             assert_eq!(out.candidates, 0);
         }
@@ -1185,9 +886,9 @@ mod tests {
     #[test]
     fn profiled_run_reports_consistent_totals() {
         let (l, r) = datasets();
-        for strategy in [ExecStrategy::Streaming, ExecStrategy::Materialized] {
+        for threads in [1, 3] {
             let out = TopologyJoin::new()
-                .strategy(strategy)
+                .threads(threads)
                 .profiled(true)
                 .run(&l, &r);
             let profile = out.profile.expect("profiled run returns a profile");
@@ -1207,11 +908,11 @@ mod tests {
     }
 
     #[test]
-    fn streaming_runs_always_report_scheduler_metrics() {
+    fn runs_always_report_scheduler_metrics() {
         let (l, r) = datasets();
         for threads in [1, 4] {
             let out = TopologyJoin::new().threads(threads).run(&l, &r);
-            let sched = out.sched.expect("streaming runs carry sched metrics");
+            let sched = out.sched.expect("runs carry sched metrics");
             let tasks: u64 = sched.workers.iter().map(|w| w.tasks).sum();
             let pairs: u64 = sched.workers.iter().map(|w| w.pairs).sum();
             let links: u64 = sched.workers.iter().map(|w| w.links).sum();
@@ -1223,10 +924,6 @@ mod tests {
             }
             assert!(sched.imbalance_ratio() >= 1.0 - 1e-9);
         }
-        let mat = TopologyJoin::new()
-            .strategy(ExecStrategy::Materialized)
-            .run(&l, &r);
-        assert!(mat.sched.is_none(), "no task scheduler to measure");
     }
 
     #[test]
@@ -1308,26 +1005,23 @@ mod tests {
         assert!(base.adaptive.is_none(), "off mode must not build a model");
         for mode in [AdaptiveMode::On, AdaptiveMode::ForceSkip] {
             for threads in [1, 4] {
-                for strategy in [ExecStrategy::Streaming, ExecStrategy::Materialized] {
-                    let out = TopologyJoin::new()
-                        .adaptive(mode)
-                        .threads(threads)
-                        .strategy(strategy)
-                        .run(&l, &r);
-                    assert_eq!(
-                        sorted_links(out.links),
-                        sorted_links(base.links.clone()),
-                        "{mode:?} × {threads} threads × {strategy:?}"
-                    );
-                    assert_eq!(out.candidates, base.candidates);
-                    assert_eq!(out.stats.pairs, base.stats.pairs);
-                    assert_eq!(
-                        out.stats.by_mbr, base.stats.by_mbr,
-                        "MBR stage is untouched"
-                    );
-                    let report = out.adaptive.expect("enabled mode reports a trace");
-                    assert_eq!(report.mode, mode);
-                }
+                let out = TopologyJoin::new()
+                    .adaptive(mode)
+                    .threads(threads)
+                    .run(&l, &r);
+                assert_eq!(
+                    sorted_links(out.links),
+                    sorted_links(base.links.clone()),
+                    "{mode:?} × {threads} threads"
+                );
+                assert_eq!(out.candidates, base.candidates);
+                assert_eq!(out.stats.pairs, base.stats.pairs);
+                assert_eq!(
+                    out.stats.by_mbr, base.stats.by_mbr,
+                    "MBR stage is untouched"
+                );
+                let report = out.adaptive.expect("enabled mode reports a trace");
+                assert_eq!(report.mode, mode);
             }
         }
     }

@@ -16,7 +16,12 @@
 //!
 //! - [`find_relation`] — the P+C pipeline (Algorithm 1);
 //! - [`relate_p`] — predicate-specific tests (Sec 3.3, Figure 6);
-//! - [`baselines`] — the paper's comparison methods ST2 / OP2 / APRIL;
+//! - [`find_relation_with`] / [`relate_p_with`] — the same two pipelines
+//!   through a worker's [`PairCtx`] (reused scratch, a profiler, and the
+//!   optional adaptive worker); [`JoinMethod::find_relation`] dispatches
+//!   a pair to P+C or to one of the paper's comparison methods
+//!   ST2 / OP2 / APRIL ([`baselines`]);
+//! - [`TopologyJoin`] — the parallel streaming join over two datasets;
 //! - [`SpatialObject`] / [`Dataset`] — preprocessed join inputs.
 //!
 //! # Example
@@ -54,29 +59,23 @@ pub mod relate_pred;
 pub mod sharded;
 
 pub use adaptive::{
-    find_relation_adaptive_with, relate_p_adaptive_with, AdaptiveCellReport, AdaptiveMode,
-    AdaptiveModel, AdaptiveReport, AdaptiveWorker, SKIP_PROBE_INTERVALS, WARMUP_SAMPLES,
+    AdaptiveCellReport, AdaptiveMode, AdaptiveModel, AdaptiveReport, AdaptiveWorker,
+    SKIP_PROBE_INTERVALS, WARMUP_SAMPLES,
 };
 pub use arena::{
     zero_copy_supported, ArenaBacking, ArenaColumns, ArenaError, ColumnSpans, DatasetArena,
     ObjectRef, WordRegion,
 };
-pub use baselines::{
-    find_relation_april, find_relation_april_with, find_relation_op2, find_relation_op2_with,
-    find_relation_st2, find_relation_st2_with,
-};
+pub use baselines::JoinMethod;
 pub use exec::{
-    mbr_class_labels, BoundedJoinResult, ExecStrategy, JoinBounds, JoinMethod, JoinResult, Link,
-    TopologyJoin, STREAM_BATCH_PAIRS,
+    mbr_class_labels, BoundedJoinResult, JoinBounds, JoinResult, Link, TopologyJoin,
+    STREAM_BATCH_PAIRS,
 };
 pub use filters::{intermediate_filter, IfOutcome};
 pub use object::{Dataset, SpatialObject, DEFAULT_MAX_INTERVALS};
 pub use pipeline::{
-    find_relation, find_relation_profiled, find_relation_profiled_with, find_relation_with, refine,
-    refine_with, Determination, FindOutcome, PipelineStats,
+    find_relation, find_relation_with, Determination, FindOutcome, PairCtx, PipelineStats,
 };
-pub use relate_pred::{
-    relate_p, relate_p_profiled, relate_p_profiled_with, RelateDetermination, RelateOutcome,
-};
+pub use relate_pred::{relate_p, relate_p_with, RelateOutcome};
 pub use sharded::{external_join, hilbert_partition, ShardPlan, ShardSet, Side};
 pub use stj_de9im::RelateScratch;

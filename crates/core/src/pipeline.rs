@@ -6,14 +6,16 @@
 //! compute the DE-9IM matrix and match candidate masks specific→general
 //! (selective refinement).
 
+use crate::adaptive::{elapsed_ns, AdaptiveWorker, Gate};
 use crate::arena::ObjectRef;
 use crate::filters::{intermediate_filter, IfOutcome};
+use std::time::Instant;
 use stj_de9im::{relate_with, RelateScratch, TopoRelation};
 use stj_index::MbrRelation;
 use stj_obs::{Disabled, Profiler, Stage};
 
-/// How a pair's relation was determined — the pipeline stage that
-/// produced the answer.
+/// How a pair's relation (or [`crate::relate_p`] answer) was
+/// determined — the pipeline stage that produced the answer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Determination {
     /// Decided by the MBR filter alone (disjoint MBRs, or the crossing
@@ -48,6 +50,49 @@ pub struct FindOutcome {
     pub determination: Determination,
 }
 
+/// Per-worker state one pair runs through: the relate scratch arena,
+/// the profiler, and the worker's view of the adaptive model. Join
+/// workers and the serve handlers build one per worker or request and
+/// pass it to every pair, so steady-state pairs reuse the same buffers.
+pub struct PairCtx<'a, 'm, P: Profiler> {
+    /// Reusable DE-9IM buffers: steady-state refinement allocates nothing.
+    pub scratch: &'a mut RelateScratch,
+    /// Per-stage observation; [`Disabled`] compiles to the uninstrumented
+    /// pipeline.
+    pub prof: &'a mut P,
+    /// The adaptive controller, when on: the pair's (MBR class × mode)
+    /// cell verdict decides whether the APRIL stage runs. `None` always
+    /// runs it, with no timing and no counters.
+    pub adaptive: Option<&'a mut AdaptiveWorker<'m>>,
+}
+
+impl<P: Profiler> PairCtx<'_, '_, P> {
+    /// The adaptive route for a pair of MBR class `class` in query mode
+    /// `predicate`; `None` without a worker (always keep, untimed).
+    pub(crate) fn gate(
+        &mut self,
+        class: MbrRelation,
+        predicate: Option<TopoRelation>,
+    ) -> Option<Gate> {
+        self.adaptive
+            .as_deref_mut()
+            .map(|w| w.gate(class, predicate))
+    }
+
+    /// Feeds a gated pair's outcome back to the adaptive worker.
+    pub(crate) fn note(
+        &mut self,
+        gate: Option<Gate>,
+        decided: bool,
+        april_ns: Option<u64>,
+        refine_ns: Option<u64>,
+    ) {
+        if let (Some(gate), Some(w)) = (gate, self.adaptive.as_deref_mut()) {
+            w.record(gate, decided, april_ns, refine_ns);
+        }
+    }
+}
+
 /// Selective refinement: computes the DE-9IM matrix and resolves the most
 /// specific relation.
 ///
@@ -55,13 +100,7 @@ pub struct FindOutcome {
 /// MBR/intermediate filters — is consulted only by a debug assertion
 /// validating the filters' soundness argument (the true relation must be
 /// in the set); the returned relation is derived from the matrix alone.
-pub fn refine(r: ObjectRef<'_>, s: ObjectRef<'_>, candidates: &[TopoRelation]) -> TopoRelation {
-    refine_with(r, s, candidates, &mut RelateScratch::default())
-}
-
-/// [`refine`] through caller-owned scratch memory — the hot-path variant
-/// the executors use, allocation-free once the scratch is warm.
-pub fn refine_with(
+fn refine(
     r: ObjectRef<'_>,
     s: ObjectRef<'_>,
     candidates: &[TopoRelation],
@@ -77,76 +116,77 @@ pub fn refine_with(
 }
 
 /// Solves *find relation* for one candidate pair with the paper's P+C
-/// pipeline (Algorithm 1).
+/// pipeline (Algorithm 1), through fresh scratch memory.
 pub fn find_relation(r: ObjectRef<'_>, s: ObjectRef<'_>) -> FindOutcome {
-    find_relation_profiled(r, s, &mut Disabled)
+    find_relation_with(
+        r,
+        s,
+        &mut PairCtx {
+            scratch: &mut RelateScratch::default(),
+            prof: &mut Disabled,
+            adaptive: None,
+        },
+    )
 }
 
-/// [`find_relation`] through caller-owned scratch memory.
-pub fn find_relation_with(
+/// [`find_relation`] through a worker's [`PairCtx`]: each stage's
+/// latency and decisions, plus the pair's MBR class, go to `ctx.prof`,
+/// and an adaptive worker may skip the APRIL stage for the pair's cell.
+/// A skipped pair refines over its MBR class's own candidate set, so the
+/// relation is the same either way; only the deciding stage moves.
+pub fn find_relation_with<P: Profiler>(
     r: ObjectRef<'_>,
     s: ObjectRef<'_>,
-    scratch: &mut RelateScratch,
+    ctx: &mut PairCtx<'_, '_, P>,
 ) -> FindOutcome {
-    find_relation_profiled_with(r, s, &mut Disabled, scratch)
-}
-
-/// [`find_relation`] with per-stage observation: each stage's latency and
-/// decisions, plus the pair's MBR class, are reported to `prof`.
-///
-/// Statically dispatched — instantiated with [`Disabled`] (as by
-/// [`find_relation`]) this compiles to the uninstrumented pipeline.
-pub fn find_relation_profiled<P: Profiler>(
-    r: ObjectRef<'_>,
-    s: ObjectRef<'_>,
-    prof: &mut P,
-) -> FindOutcome {
-    find_relation_profiled_with(r, s, prof, &mut RelateScratch::default())
-}
-
-/// [`find_relation_profiled`] through caller-owned scratch memory — what
-/// the join executors call with their per-worker scratch.
-pub fn find_relation_profiled_with<P: Profiler>(
-    r: ObjectRef<'_>,
-    s: ObjectRef<'_>,
-    prof: &mut P,
-    scratch: &mut RelateScratch,
-) -> FindOutcome {
-    let t = prof.start();
+    let t = ctx.prof.start();
     let mbr_rel = MbrRelation::classify(r.mbr, s.mbr);
-    prof.stage(Stage::MbrClassify, t);
+    ctx.prof.stage(Stage::MbrClassify, t);
     let out = match mbr_rel {
         MbrRelation::Disjoint => {
-            prof.decided(Stage::MbrClassify);
+            ctx.prof.decided(Stage::MbrClassify);
             FindOutcome {
                 relation: TopoRelation::Disjoint,
                 determination: Determination::MbrFilter,
             }
         }
         MbrRelation::Cross => {
-            prof.decided(Stage::MbrClassify);
+            ctx.prof.decided(Stage::MbrClassify);
             FindOutcome {
                 relation: TopoRelation::Intersects,
                 determination: Determination::MbrFilter,
             }
         }
         _ => {
-            let t = prof.start();
-            let filtered = intermediate_filter(mbr_rel, r, s);
-            prof.stage(Stage::IntermediateFilter, t);
+            let gate = ctx.gate(mbr_rel, None);
+            let timed = gate.is_some_and(|g| g.timed);
+            let (filtered, april_ns) = if gate.is_some_and(|g| g.skip) {
+                (IfOutcome::Refine(mbr_rel.candidates()), None)
+            } else {
+                let t = ctx.prof.start();
+                let t0 = timed.then(Instant::now);
+                let filtered = intermediate_filter(mbr_rel, r, s);
+                let april_ns = t0.map(elapsed_ns);
+                ctx.prof.stage(Stage::IntermediateFilter, t);
+                (filtered, april_ns)
+            };
             match filtered {
                 IfOutcome::Definite(relation) => {
-                    prof.decided(Stage::IntermediateFilter);
+                    ctx.prof.decided(Stage::IntermediateFilter);
+                    ctx.note(gate, true, april_ns, None);
                     FindOutcome {
                         relation,
                         determination: Determination::IntermediateFilter,
                     }
                 }
                 IfOutcome::Refine(cands) => {
-                    let t = prof.start();
-                    let relation = refine_with(r, s, cands, scratch);
-                    prof.stage(Stage::Refinement, t);
-                    prof.decided(Stage::Refinement);
+                    let t = ctx.prof.start();
+                    let t1 = timed.then(Instant::now);
+                    let relation = refine(r, s, cands, ctx.scratch);
+                    let refine_ns = t1.map(elapsed_ns);
+                    ctx.prof.stage(Stage::Refinement, t);
+                    ctx.prof.decided(Stage::Refinement);
+                    ctx.note(gate, false, april_ns, refine_ns);
                     FindOutcome {
                         relation,
                         determination: Determination::Refinement,
@@ -155,7 +195,7 @@ pub fn find_relation_profiled_with<P: Profiler>(
             }
         }
     };
-    prof.mbr_class(
+    ctx.prof.mbr_class(
         mbr_rel as usize,
         out.determination == Determination::Refinement,
     );
@@ -176,10 +216,10 @@ pub struct PipelineStats {
 }
 
 impl PipelineStats {
-    /// Records one outcome.
-    pub fn record(&mut self, outcome: &FindOutcome) {
+    /// Records one pair decided at `determination`.
+    pub fn record(&mut self, determination: Determination) {
         self.pairs += 1;
-        match outcome.determination {
+        match determination {
             Determination::MbrFilter => self.by_mbr += 1,
             Determination::IntermediateFilter => self.by_intermediate += 1,
             Determination::Refinement => self.refined += 1,
@@ -316,9 +356,9 @@ mod tests {
         let a = obj(0.0, 0.0, 10.0, 10.0);
         let b = obj(50.0, 50.0, 60.0, 60.0);
         let c = obj(2.0, 2.0, 8.0, 8.0);
-        st.record(&find_relation(a.view(), b.view())); // mbr
-        st.record(&find_relation(c.view(), a.view())); // intermediate (deep inside)
-        st.record(&find_relation(a.view(), a.view())); // refinement (equals)
+        st.record(find_relation(a.view(), b.view()).determination); // mbr
+        st.record(find_relation(c.view(), a.view()).determination); // intermediate (deep inside)
+        st.record(find_relation(a.view(), a.view()).determination); // refinement (equals)
         assert_eq!(st.pairs, 3);
         assert_eq!(st.by_mbr, 1);
         assert_eq!(st.by_intermediate, 1);
@@ -329,6 +369,65 @@ mod tests {
         st2.merge(&st);
         assert_eq!(st2.pairs, 6);
         assert_eq!(st2.refined, 2);
+    }
+
+    #[test]
+    fn pair_ctx_forms_agree_with_fresh_entry_points_on_adversarial_corpus() {
+        use crate::adaptive::{AdaptiveMode, AdaptiveModel};
+        use crate::relate_pred::{relate_p, relate_p_with};
+        use stj_datagen::adversarial::{adversarial_pair, adversarial_space};
+        use stj_obs::Recorder;
+        use TopoRelation::*;
+
+        let grid = Grid::new(adversarial_space(), 8);
+        // A four-pair warm-up settles cells within the corpus, so both
+        // warming and settled verdicts are exercised.
+        let on = AdaptiveModel::with_warmup(AdaptiveMode::On, 4);
+        let skip = AdaptiveModel::new(AdaptiveMode::ForceSkip);
+        let mut on_worker = AdaptiveWorker::new(&on);
+        let mut skip_worker = AdaptiveWorker::new(&skip);
+        let mut scratch = RelateScratch::default();
+        let mut rec = Recorder::default();
+        for index in 0..220 {
+            let pair = adversarial_pair(0xF01D, index);
+            let a = SpatialObject::build(pair.a, &grid);
+            let b = SpatialObject::build(pair.b, &grid);
+            for (r, s) in [(&a, &b), (&b, &a)] {
+                let (r, s) = (r.view(), s.view());
+                let want = find_relation(r, s);
+                for adaptive in [None, Some(&mut on_worker), Some(&mut skip_worker)] {
+                    let gated = adaptive.is_some();
+                    let mut ctx = PairCtx {
+                        scratch: &mut scratch,
+                        prof: &mut rec,
+                        adaptive,
+                    };
+                    let got = find_relation_with(r, s, &mut ctx);
+                    if gated {
+                        assert_eq!(got.relation, want.relation, "pair {index}");
+                    } else {
+                        assert_eq!(got, want, "pair {index}");
+                    }
+                    for p in [
+                        Disjoint, Intersects, Meets, Equals, Inside, Contains, CoveredBy, Covers,
+                    ] {
+                        assert_eq!(
+                            relate_p_with(r, s, p, &mut ctx).holds,
+                            relate_p(r, s, p).holds,
+                            "pair {index} predicate {p:?}"
+                        );
+                    }
+                }
+            }
+            on_worker.flush();
+        }
+        skip_worker.flush();
+        let on_report = on.report();
+        assert!(
+            on_report.classes.iter().any(|c| c.verdict != "warming"),
+            "the on-mode cells must settle within the corpus"
+        );
+        assert!(skip.report().skipped_pairs() > 0, "force-skip must skip");
     }
 
     #[test]

@@ -12,53 +12,28 @@
 //!    refutes containment; interior cell contact refutes `meets`).
 //! 3. **Refinement** — DE-9IM as the fallback.
 
+use crate::adaptive::elapsed_ns;
 use crate::arena::ObjectRef;
+use crate::pipeline::{Determination, PairCtx};
+use std::time::Instant;
 use stj_de9im::{relate_with, RelateScratch, TopoRelation};
 use stj_index::MbrRelation;
 use stj_obs::{Disabled, Profiler, Stage};
-
-/// How a [`relate_p`] query was answered (for filter-effectiveness
-/// accounting, mirroring [`crate::pipeline::Determination`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RelateDetermination {
-    /// Decided by the MBR classification (including "impossible
-    /// relation" short-circuits).
-    MbrFilter,
-    /// Decided by `P`/`C` list merge-joins.
-    IntermediateFilter,
-    /// Required the DE-9IM matrix.
-    Refinement,
-}
 
 /// Result of a [`relate_p`] query.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RelateOutcome {
     /// Whether relation `p` holds for the pair.
     pub holds: bool,
-    /// The deciding stage.
-    pub determination: RelateDetermination,
-}
-
-impl RelateOutcome {
-    fn mbr(holds: bool) -> RelateOutcome {
-        RelateOutcome {
-            holds,
-            determination: RelateDetermination::MbrFilter,
-        }
-    }
-
-    fn raster(holds: bool) -> RelateOutcome {
-        RelateOutcome {
-            holds,
-            determination: RelateDetermination::IntermediateFilter,
-        }
-    }
+    /// The deciding stage ([`Determination::MbrFilter`] includes the
+    /// impossible-relation short-circuits).
+    pub determination: Determination,
 }
 
 /// Layer 1 verdict from the MBR classification alone: `Some(holds)` for
 /// impossible-relation short-circuits and the two self-confirming MBR
 /// cases, `None` if the rasters must be consulted.
-pub(crate) fn mbr_verdict(mbr_rel: MbrRelation, p: TopoRelation) -> Option<bool> {
+fn mbr_verdict(mbr_rel: MbrRelation, p: TopoRelation) -> Option<bool> {
     use TopoRelation::*;
     match mbr_rel {
         MbrRelation::Disjoint => Some(p == Disjoint),
@@ -73,7 +48,7 @@ pub(crate) fn mbr_verdict(mbr_rel: MbrRelation, p: TopoRelation) -> Option<bool>
 /// Layer 2 verdict from the predicate-specific raster filters
 /// (Figure 6): `Some(holds)` when the `P`/`C` merge-joins confirm or
 /// refute `p`, `None` when the pair must be refined.
-pub(crate) fn raster_verdict(r: ObjectRef<'_>, s: ObjectRef<'_>, p: TopoRelation) -> Option<bool> {
+fn raster_verdict(r: ObjectRef<'_>, s: ObjectRef<'_>, p: TopoRelation) -> Option<bool> {
     use TopoRelation::*;
     let (ra, sa) = (r.april, s.april);
     match p {
@@ -130,64 +105,80 @@ pub(crate) fn raster_verdict(r: ObjectRef<'_>, s: ObjectRef<'_>, p: TopoRelation
     None
 }
 
-/// Tests whether topological relation `p` holds between `r` and `s`.
+/// Tests whether topological relation `p` holds between `r` and `s`,
+/// through fresh scratch memory.
 pub fn relate_p(r: ObjectRef<'_>, s: ObjectRef<'_>, p: TopoRelation) -> RelateOutcome {
-    relate_p_profiled(r, s, p, &mut Disabled)
+    relate_p_with(
+        r,
+        s,
+        p,
+        &mut PairCtx {
+            scratch: &mut RelateScratch::default(),
+            prof: &mut Disabled,
+            adaptive: None,
+        },
+    )
 }
 
-/// [`relate_p`] with per-stage observation, mirroring
-/// [`crate::pipeline::find_relation_profiled`]: each layer's latency and
-/// decisions, plus the pair's MBR class, go to `prof`. Instantiated with
-/// [`Disabled`] this compiles to the uninstrumented test.
-pub fn relate_p_profiled<P: Profiler>(
+/// [`relate_p`] through a worker's [`PairCtx`], mirroring
+/// [`crate::pipeline::find_relation_with`]: each layer's latency and
+/// decisions, plus the pair's MBR class, go to `ctx.prof`, and an
+/// adaptive worker may skip the raster layer for the pair's
+/// (class × predicate) cell without changing the answer.
+pub fn relate_p_with<P: Profiler>(
     r: ObjectRef<'_>,
     s: ObjectRef<'_>,
     p: TopoRelation,
-    prof: &mut P,
-) -> RelateOutcome {
-    relate_p_profiled_with(r, s, p, prof, &mut RelateScratch::default())
-}
-
-/// [`relate_p_profiled`] through caller-owned scratch memory — what the
-/// join executors call with their per-worker scratch.
-pub fn relate_p_profiled_with<P: Profiler>(
-    r: ObjectRef<'_>,
-    s: ObjectRef<'_>,
-    p: TopoRelation,
-    prof: &mut P,
-    scratch: &mut RelateScratch,
+    ctx: &mut PairCtx<'_, '_, P>,
 ) -> RelateOutcome {
     // Layer 1: MBR classification and its short-circuits.
-    let t = prof.start();
+    let t = ctx.prof.start();
     let mbr_rel = MbrRelation::classify(r.mbr, s.mbr);
     let l1 = mbr_verdict(mbr_rel, p);
-    prof.stage(Stage::MbrClassify, t);
+    ctx.prof.stage(Stage::MbrClassify, t);
     if let Some(holds) = l1 {
-        prof.decided(Stage::MbrClassify);
-        prof.mbr_class(mbr_rel as usize, false);
-        return RelateOutcome::mbr(holds);
+        ctx.prof.decided(Stage::MbrClassify);
+        ctx.prof.mbr_class(mbr_rel as usize, false);
+        return RelateOutcome {
+            holds,
+            determination: Determination::MbrFilter,
+        };
     }
 
-    // Layer 2: predicate-specific raster filters.
-    let t = prof.start();
-    let l2 = raster_verdict(r, s, p);
-    prof.stage(Stage::IntermediateFilter, t);
-    if let Some(holds) = l2 {
-        prof.decided(Stage::IntermediateFilter);
-        prof.mbr_class(mbr_rel as usize, false);
-        return RelateOutcome::raster(holds);
+    // Layer 2: predicate-specific raster filters, unless the cell skips
+    // them.
+    let gate = ctx.gate(mbr_rel, Some(p));
+    let timed = gate.is_some_and(|g| g.timed);
+    let mut april_ns = None;
+    if !gate.is_some_and(|g| g.skip) {
+        let t = ctx.prof.start();
+        let t0 = timed.then(Instant::now);
+        let l2 = raster_verdict(r, s, p);
+        april_ns = t0.map(elapsed_ns);
+        ctx.prof.stage(Stage::IntermediateFilter, t);
+        if let Some(holds) = l2 {
+            ctx.prof.decided(Stage::IntermediateFilter);
+            ctx.prof.mbr_class(mbr_rel as usize, false);
+            ctx.note(gate, true, april_ns, None);
+            return RelateOutcome {
+                holds,
+                determination: Determination::IntermediateFilter,
+            };
+        }
     }
 
     // Layer 3: refinement.
-    let t = prof.start();
-    let m = relate_with(&r.geom, &s.geom, scratch);
-    let holds = p.holds(&m);
-    prof.stage(Stage::Refinement, t);
-    prof.decided(Stage::Refinement);
-    prof.mbr_class(mbr_rel as usize, true);
+    let t = ctx.prof.start();
+    let t1 = timed.then(Instant::now);
+    let holds = p.holds(&relate_with(&r.geom, &s.geom, ctx.scratch));
+    let refine_ns = t1.map(elapsed_ns);
+    ctx.prof.stage(Stage::Refinement, t);
+    ctx.prof.decided(Stage::Refinement);
+    ctx.prof.mbr_class(mbr_rel as usize, true);
+    ctx.note(gate, false, april_ns, refine_ns);
     RelateOutcome {
         holds,
-        determination: RelateDetermination::Refinement,
+        determination: Determination::Refinement,
     }
 }
 
@@ -246,7 +237,7 @@ mod tests {
         for p in [Contains, Covers, Equals] {
             let out = relate_p(small.view(), big.view(), p);
             assert!(!out.holds);
-            assert_eq!(out.determination, RelateDetermination::MbrFilter, "{p:?}");
+            assert_eq!(out.determination, Determination::MbrFilter, "{p:?}");
         }
     }
 
@@ -256,10 +247,10 @@ mod tests {
         let tall = obj(40.0, 0.0, 60.0, 100.0);
         let out = relate_p(wide.view(), tall.view(), Intersects);
         assert!(out.holds);
-        assert_eq!(out.determination, RelateDetermination::MbrFilter);
+        assert_eq!(out.determination, Determination::MbrFilter);
         let out = relate_p(wide.view(), tall.view(), Meets);
         assert!(!out.holds);
-        assert_eq!(out.determination, RelateDetermination::MbrFilter);
+        assert_eq!(out.determination, Determination::MbrFilter);
     }
 
     #[test]
@@ -268,7 +259,7 @@ mod tests {
         let b = obj(30.0, 30.0, 90.0, 90.0);
         let out = relate_p(a.view(), b.view(), Meets);
         assert!(!out.holds);
-        assert_eq!(out.determination, RelateDetermination::IntermediateFilter);
+        assert_eq!(out.determination, Determination::IntermediateFilter);
     }
 
     #[test]
@@ -278,12 +269,12 @@ mod tests {
         for p in [Inside, CoveredBy] {
             let out = relate_p(inner.view(), outer.view(), p);
             assert!(out.holds, "{p:?}");
-            assert_eq!(out.determination, RelateDetermination::IntermediateFilter);
+            assert_eq!(out.determination, Determination::IntermediateFilter);
         }
         for p in [Contains, Covers] {
             let out = relate_p(outer.view(), inner.view(), p);
             assert!(out.holds, "{p:?}");
-            assert_eq!(out.determination, RelateDetermination::IntermediateFilter);
+            assert_eq!(out.determination, Determination::IntermediateFilter);
         }
     }
 
@@ -310,7 +301,7 @@ mod tests {
         );
         let out = relate_p(square.view(), tri.view(), Equals);
         assert!(!out.holds);
-        assert_eq!(out.determination, RelateDetermination::IntermediateFilter);
+        assert_eq!(out.determination, Determination::IntermediateFilter);
     }
 
     #[test]
@@ -319,7 +310,7 @@ mod tests {
         let b = obj(0.0, 0.0, 60.0, 60.0);
         let out = relate_p(a.view(), b.view(), Equals);
         assert!(out.holds);
-        assert_eq!(out.determination, RelateDetermination::Refinement);
+        assert_eq!(out.determination, Determination::Refinement);
     }
 
     #[test]
@@ -328,7 +319,7 @@ mod tests {
         let far = obj(50.0, 50.0, 60.0, 60.0);
         let out = relate_p(a.view(), far.view(), Disjoint);
         assert!(out.holds);
-        assert_eq!(out.determination, RelateDetermination::MbrFilter);
+        assert_eq!(out.determination, Determination::MbrFilter);
 
         // Bodies near but separate with overlapping MBRs.
         let t1 = SpatialObject::build(
@@ -341,6 +332,6 @@ mod tests {
         );
         let out = relate_p(t1.view(), t2.view(), Disjoint);
         assert!(out.holds);
-        assert_eq!(out.determination, RelateDetermination::IntermediateFilter);
+        assert_eq!(out.determination, Determination::IntermediateFilter);
     }
 }

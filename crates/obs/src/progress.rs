@@ -25,25 +25,27 @@ pub const BATCH: u64 = 4096;
 #[derive(Debug)]
 pub struct Progress {
     done: AtomicU64,
-    total: u64,
     start: Instant,
     /// Workers feeding [`Progress::add_busy`]; `0` hides utilization.
     workers: AtomicU64,
     busy_ns: AtomicU64,
 }
 
-impl Progress {
-    /// A meter expecting `total` pairs (use `0` when unknown).
-    pub fn new(total: u64) -> Progress {
+/// A fresh meter, its clock started. There is no expected total: the
+/// streaming executor learns the candidate count only as generation
+/// finishes.
+impl Default for Progress {
+    fn default() -> Progress {
         Progress {
             done: AtomicU64::new(0),
-            total,
             start: Instant::now(),
             workers: AtomicU64::new(0),
             busy_ns: AtomicU64::new(0),
         }
     }
+}
 
+impl Progress {
     /// Declares how many workers will report busy time; heartbeats
     /// include a utilization figure once this is nonzero.
     pub fn set_workers(&self, n: usize) {
@@ -83,26 +85,13 @@ impl Progress {
         self.done.load(Ordering::Relaxed)
     }
 
-    /// The expected total supplied at construction.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
     /// One heartbeat line, e.g.
-    /// `progress: 1234567/2000000 pairs (61.7%), 812345 pairs/sec`.
+    /// `progress: 1234567 pairs, 812345 pairs/sec, 8 workers 97% busy`.
     pub fn report_line(&self) -> String {
         let done = self.done();
         let secs = self.start.elapsed().as_secs_f64();
         let rate = if secs > 0.0 { done as f64 / secs } else { 0.0 };
-        let mut line = if self.total > 0 {
-            let pct = 100.0 * done as f64 / self.total as f64;
-            format!(
-                "progress: {done}/{} pairs ({pct:.1}%), {rate:.0} pairs/sec",
-                self.total
-            )
-        } else {
-            format!("progress: {done} pairs, {rate:.0} pairs/sec")
-        };
+        let mut line = format!("progress: {done} pairs, {rate:.0} pairs/sec");
         if let Some(util) = self.utilization() {
             let workers = self.workers.load(Ordering::Relaxed);
             line.push_str(&format!(", {workers} workers {:.0}% busy", 100.0 * util));
@@ -181,28 +170,19 @@ mod tests {
 
     #[test]
     fn counts_add_up() {
-        let p = Progress::new(100);
+        let p = Progress::default();
         p.add(40);
         p.add(2);
         assert_eq!(p.done(), 42);
-        assert_eq!(p.total(), 100);
         let line = p.report_line();
-        assert!(line.contains("42/100"), "{line}");
+        assert!(line.contains("42 pairs"), "{line}");
         assert!(line.contains("pairs/sec"), "{line}");
-    }
-
-    #[test]
-    fn unknown_total_line_has_no_percentage() {
-        let p = Progress::new(0);
-        p.add(7);
-        let line = p.report_line();
-        assert!(line.contains("7 pairs"), "{line}");
-        assert!(!line.contains('%'), "{line}");
+        assert!(!line.contains('%'), "no percentage without a total: {line}");
     }
 
     #[test]
     fn utilization_appears_once_workers_report_busy_time() {
-        let p = Progress::new(0);
+        let p = Progress::default();
         assert!(p.utilization().is_none());
         p.set_workers(2);
         std::thread::sleep(Duration::from_millis(5));
@@ -219,7 +199,7 @@ mod tests {
 
     #[test]
     fn batcher_flushes_on_fill_and_drop() {
-        let p = Progress::new(0);
+        let p = Progress::default();
         {
             let mut b = ProgressBatch::new(&p);
             for _ in 0..BATCH + 10 {
@@ -232,7 +212,7 @@ mod tests {
 
     #[test]
     fn reporter_exits_on_stop() {
-        let p = Progress::new(10);
+        let p = Progress::default();
         let stop = AtomicBool::new(false);
         std::thread::scope(|scope| {
             let handle = scope.spawn(|| p.run_reporter(&stop, Duration::from_millis(10)));

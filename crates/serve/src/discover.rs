@@ -23,11 +23,12 @@ use crate::{Generation, LoadedDataset, ServeCtx};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use stj_core::{
-    find_relation_adaptive_with, find_relation_with, linking::geosparql_property, AdaptiveWorker,
-    RelateScratch, SpatialObject, DEFAULT_MAX_INTERVALS,
+    find_relation_with, linking::geosparql_property, AdaptiveWorker, PairCtx, RelateScratch,
+    SpatialObject, DEFAULT_MAX_INTERVALS,
 };
 use stj_de9im::TopoRelation;
 use stj_geom::Polygon;
+use stj_obs::Disabled;
 
 /// Target rendered size of one stream chunk. Chunks end on probe
 /// boundaries, so a single probe with many links can overshoot — the
@@ -76,8 +77,7 @@ pub fn discover_probe(
     polygon: Polygon,
     probe_name: &str,
     format: DiscoverFormat,
-    scratch: &mut RelateScratch,
-    adaptive: &mut Option<AdaptiveWorker<'_>>,
+    ctx: &mut PairCtx<'_, '_, Disabled>,
     out: &mut String,
 ) -> (u64, u64) {
     let probe = SpatialObject::build_with_budget(polygon, &ds.grid, DEFAULT_MAX_INTERVALS);
@@ -88,16 +88,7 @@ pub fn discover_probe(
         });
     let mut links = 0u64;
     for &id in &candidates {
-        let o = match adaptive.as_mut() {
-            Some(w) => find_relation_adaptive_with(
-                probe.view(),
-                ds.arena.object(id as usize),
-                &mut stj_obs::Disabled,
-                scratch,
-                w,
-            ),
-            None => find_relation_with(probe.view(), ds.arena.object(id as usize), scratch),
-        };
+        let o = find_relation_with(probe.view(), ds.arena.object(id as usize), ctx);
         if o.relation == TopoRelation::Disjoint {
             continue;
         }
@@ -192,6 +183,11 @@ impl DiscoverStream {
             .adaptive
             .enabled()
             .then(|| AdaptiveWorker::new(&ctx.adaptive));
+        let mut pair_ctx = PairCtx {
+            scratch,
+            prof: &mut Disabled,
+            adaptive: adaptive.as_mut(),
+        };
         let mut out = String::with_capacity(CHUNK_TARGET_BYTES + 1024);
         while self.next < self.probes.len() && out.len() < CHUNK_TARGET_BYTES {
             let polygon = self.probes[self.next].clone();
@@ -201,8 +197,7 @@ impl DiscoverStream {
                 polygon,
                 &self.probe_name,
                 self.format,
-                scratch,
-                &mut adaptive,
+                &mut pair_ctx,
                 &mut out,
             );
             self.candidates += cand;

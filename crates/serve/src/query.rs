@@ -22,8 +22,8 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use stj_core::{
-    find_relation_adaptive_with, find_relation_with, AdaptiveWorker, Determination, JoinBounds,
-    JoinMethod, RelateScratch, SpatialObject, TopologyJoin, DEFAULT_MAX_INTERVALS,
+    find_relation_with, AdaptiveWorker, Determination, JoinBounds, JoinMethod, PairCtx,
+    RelateScratch, SpatialObject, TopologyJoin, DEFAULT_MAX_INTERVALS,
 };
 use stj_de9im::TopoRelation;
 use stj_obs::Json;
@@ -586,6 +586,11 @@ fn handle_relate(
         .adaptive
         .enabled()
         .then(|| AdaptiveWorker::new(&ctx.adaptive));
+    let mut pair_ctx = PairCtx {
+        scratch,
+        prof: &mut stj_obs::Disabled,
+        adaptive: adaptive.as_mut(),
+    };
     let mut matches = Json::Arr(Vec::new());
     let mut match_count: u64 = 0;
     let mut truncated = false;
@@ -595,16 +600,7 @@ fn handle_relate(
             truncated = true;
             break;
         }
-        let out = match adaptive.as_mut() {
-            Some(w) => find_relation_adaptive_with(
-                probe.view(),
-                ds.arena.object(id as usize),
-                &mut stj_obs::Disabled,
-                scratch,
-                w,
-            ),
-            None => find_relation_with(probe.view(), ds.arena.object(id as usize), scratch),
-        };
+        let out = find_relation_with(probe.view(), ds.arena.object(id as usize), &mut pair_ctx);
         if out.relation == TopoRelation::Disjoint {
             continue;
         }
@@ -723,7 +719,15 @@ fn handle_pair(
             "datasets were preprocessed on different grids; relations cannot be compared",
         );
     }
-    let out = find_relation_with(left.arena.object(i), right.arena.object(j), scratch);
+    let out = find_relation_with(
+        left.arena.object(i),
+        right.arena.object(j),
+        &mut PairCtx {
+            scratch,
+            prof: &mut stj_obs::Disabled,
+            adaptive: None,
+        },
+    );
     Response::json(
         200,
         &Json::object([

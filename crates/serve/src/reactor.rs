@@ -329,18 +329,18 @@ mod imp {
             }
         }
 
-        /// Queues a fresh request; hands it back when the lane is full
-        /// so the caller can shed it.
-        fn push_fresh(&self, job: Job, stats: &crate::ServeStats) -> Result<(), Job> {
+        /// Queues a fresh request; returns `false` (dropping the job)
+        /// when the lane is full so the caller sheds it.
+        fn push_fresh(&self, job: Job, stats: &crate::ServeStats) -> bool {
             let mut q = self.state.lock().expect("job queue lock");
             if q.fresh.len() >= self.depth {
-                return Err(job);
+                return false;
             }
             q.fresh.push_back(job);
             stats.queue_depth.set(q.fresh.len() as u64);
             drop(q);
             self.ready.notify_one();
-            Ok(())
+            true
         }
 
         fn push_cont(&self, job: Job) {
@@ -688,24 +688,18 @@ mod imp {
                         enqueued: Instant::now(),
                         trace_id,
                     };
-                    match self.jobs.push_fresh(job, stats) {
-                        Ok(()) => {
-                            let conn = self.slots[idx].as_mut().expect("checked above");
-                            conn.phase = Phase::Dispatched;
-                            // Interest stays readable so a peer close is
-                            // noticed; new bytes just buffer.
-                        }
-                        Err(_job) => {
-                            // Queue full: shed THIS request, keep the
-                            // connection (clients retry after 1s).
-                            stats.rejected_429.inc();
-                            let resp = Response::error(
-                                429,
-                                "overloaded",
-                                "job queue full, retry later",
-                            );
-                            self.enqueue_and_flush(idx, &resp, keep_alive_hint);
-                        }
+                    if self.jobs.push_fresh(job, stats) {
+                        let conn = self.slots[idx].as_mut().expect("checked above");
+                        conn.phase = Phase::Dispatched;
+                        // Interest stays readable so a peer close is
+                        // noticed; new bytes just buffer.
+                    } else {
+                        // Queue full: shed THIS request, keep the
+                        // connection (clients retry after 1s).
+                        stats.rejected_429.inc();
+                        let resp =
+                            Response::error(429, "overloaded", "job queue full, retry later");
+                        self.enqueue_and_flush(idx, &resp, keep_alive_hint);
                     }
                 }
             }
@@ -1022,8 +1016,7 @@ mod imp {
                     Ok(n) => n,
                     Err(e) => break Err(e),
                 };
-                for i in 0..n {
-                    let ev = events[i];
+                for &ev in &events[..n] {
                     let token = ev.data;
                     let mask = ev.events;
                     match token {

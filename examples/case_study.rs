@@ -10,9 +10,11 @@
 
 use std::time::Instant;
 use stjoin::datagen::fig9_lake_in_park;
+use stjoin::de9im::RelateScratch;
+use stjoin::obs::Disabled;
 use stjoin::prelude::*;
 
-fn time<T>(f: impl Fn() -> T, iters: u32) -> (T, std::time::Duration) {
+fn time<T>(mut f: impl FnMut() -> T, iters: u32) -> (T, std::time::Duration) {
     let t = Instant::now();
     let mut out = None;
     for _ in 0..iters {
@@ -53,32 +55,29 @@ fn main() {
 
     // The relation, per method, with per-pair timing.
     let iters = 20;
-    let (out_pc, t_pc) = time(|| find_relation(lake.view(), park.view()), iters);
-    let (out_st2, t_st2) = time(|| find_relation_st2(lake.view(), park.view()), iters);
-    let (out_op2, t_op2) = time(|| find_relation_op2(lake.view(), park.view()), iters);
-    let (out_april, t_april) = time(|| find_relation_april(lake.view(), park.view()), iters);
-
+    let mut ctx = PairCtx {
+        scratch: &mut RelateScratch::default(),
+        prof: &mut Disabled,
+        adaptive: None,
+    };
+    let mut runs = Vec::new();
     println!("\nmethod   relation     time/pair");
-    println!(
-        "P+C      {:<12} {:>10.2?}",
-        out_pc.relation.to_string(),
-        t_pc
-    );
-    println!(
-        "ST2      {:<12} {:>10.2?}",
-        out_st2.relation.to_string(),
-        t_st2
-    );
-    println!(
-        "OP2      {:<12} {:>10.2?}",
-        out_op2.relation.to_string(),
-        t_op2
-    );
-    println!(
-        "APRIL    {:<12} {:>10.2?}",
-        out_april.relation.to_string(),
-        t_april
-    );
+    for (name, method) in [
+        ("P+C", JoinMethod::PC),
+        ("ST2", JoinMethod::St2),
+        ("OP2", JoinMethod::Op2),
+        ("APRIL", JoinMethod::April),
+    ] {
+        let (out, dt) = time(
+            || method.find_relation(lake.view(), park.view(), &mut ctx),
+            iters,
+        );
+        println!("{name:<8} {:<12} {dt:>10.2?}", out.relation.to_string());
+        runs.push((out, dt));
+    }
+    let [(out_pc, t_pc), (out_st2, t_st2), ..] = runs[..] else {
+        unreachable!("four methods ran")
+    };
 
     assert_eq!(out_pc.relation, TopoRelation::Inside);
     assert_eq!(out_pc.determination, Determination::IntermediateFilter);

@@ -14,6 +14,8 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 use stjoin::datagen::{generate_combo, ComboId};
+use stjoin::de9im::RelateScratch;
+use stjoin::obs::Disabled;
 use stjoin::prelude::*;
 
 fn main() {
@@ -49,52 +51,45 @@ fn main() {
         t.elapsed()
     );
 
-    // Interlink with the P+C pipeline.
-    let t = Instant::now();
-    let mut histogram: BTreeMap<String, u64> = BTreeMap::new();
-    let mut stats = PipelineStats::default();
-    for &(i, j) in &pairs {
-        let out = find_relation(lakes.object(i as usize), parks.object(j as usize));
-        stats.record(&out);
-        if out.relation != TopoRelation::Disjoint {
-            *histogram.entry(out.relation.to_string()).or_default() += 1;
-        }
-    }
-    let pc_time = t.elapsed();
-
-    println!("\ndiscovered links (non-disjoint candidate pairs):");
-    for (rel, count) in &histogram {
-        println!("  {rel:<12} {count}");
-    }
-    println!(
-        "\nP+C: {} pairs in {:.2?} ({:.0} pairs/s), {:.1}% undetermined (refined)",
-        stats.pairs,
-        pc_time,
-        stats.pairs as f64 / pc_time.as_secs_f64(),
-        stats.undetermined_pct()
-    );
-
-    // Same workload through the baselines, for comparison.
-    for (name, f) in [
-        (
-            "ST2",
-            find_relation_st2 as fn(ObjectRef<'_>, ObjectRef<'_>) -> FindOutcome,
-        ),
-        ("OP2", find_relation_op2),
-        ("APRIL", find_relation_april),
+    // Interlink with the P+C pipeline, then run the same workload
+    // through the baselines for comparison. One worker context reuses
+    // its refinement scratch across every pair.
+    let mut ctx = PairCtx {
+        scratch: &mut RelateScratch::default(),
+        prof: &mut Disabled,
+        adaptive: None,
+    };
+    for (name, method) in [
+        ("P+C", JoinMethod::PC),
+        ("ST2", JoinMethod::St2),
+        ("OP2", JoinMethod::Op2),
+        ("APRIL", JoinMethod::April),
     ] {
         let t = Instant::now();
-        let mut st = PipelineStats::default();
+        let mut histogram: BTreeMap<String, u64> = BTreeMap::new();
+        let mut stats = PipelineStats::default();
         for &(i, j) in &pairs {
-            st.record(&f(lakes.object(i as usize), parks.object(j as usize)));
+            let out =
+                method.find_relation(lakes.object(i as usize), parks.object(j as usize), &mut ctx);
+            stats.record(out.determination);
+            if out.relation != TopoRelation::Disjoint {
+                *histogram.entry(out.relation.to_string()).or_default() += 1;
+            }
         }
         let dt = t.elapsed();
+        if method == JoinMethod::PC {
+            println!("\ndiscovered links (non-disjoint candidate pairs):");
+            for (rel, count) in &histogram {
+                println!("  {rel:<12} {count}");
+            }
+            println!();
+        }
         println!(
-            "{name}: {} pairs in {:.2?} ({:.0} pairs/s), {:.1}% undetermined",
-            st.pairs,
+            "{name}: {} pairs in {:.2?} ({:.0} pairs/s), {:.1}% undetermined (refined)",
+            stats.pairs,
             dt,
-            st.pairs as f64 / dt.as_secs_f64(),
-            st.undetermined_pct()
+            stats.pairs as f64 / dt.as_secs_f64(),
+            stats.undetermined_pct()
         );
     }
 }

@@ -15,7 +15,6 @@
 use std::time::Instant;
 use stjoin::datagen::{generate_combo, ComboId};
 use stjoin::prelude::*;
-use stjoin::RelateDetermination;
 
 fn main() {
     let scale = std::env::args()
@@ -58,7 +57,7 @@ fn main() {
             if out.holds {
                 matched += 1;
             }
-            if out.determination == RelateDetermination::Refinement {
+            if out.determination == Determination::Refinement {
                 refined += 1;
             }
         }

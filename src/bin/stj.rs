@@ -13,10 +13,6 @@
 //! stj join <LEFT.stjd> <RIGHT.stjd> [opts]  run the topology join
 //!     --method pc|st2|op2|april   (default pc)
 //!     --predicate REL             relate_p mode (inside, meets, ...)
-//!     --exec streaming|materialized  executor strategy (default
-//!                                 streaming: fused tile-at-a-time
-//!                                 candidate generation; materialized
-//!                                 builds the full candidate list first)
 //!     --threads N                 worker threads (0 = auto-detect via
 //!                                 available_parallelism; default 0)
 //!     --ntriples OUT.nt           write GeoSPARQL links as N-Triples
@@ -24,7 +20,7 @@
 //!                                 (per-stage latency histograms, scheduler
 //!                                 contention metrics, and per-site
 //!                                 allocation attribution; enables profiling)
-//!     --trace OUT.json            flight-recorder trace of the streaming
+//!     --trace OUT.json            flight-recorder trace of the join
 //!                                 executor as Chrome trace-event JSON
 //!                                 (open in chrome://tracing or Perfetto)
 //!     --adaptive on|off|force-skip  adaptive filter ordering (default on):
@@ -88,7 +84,7 @@ use std::io::{BufReader, BufWriter, Write};
 use std::process::ExitCode;
 use stjoin::core::linking::links_to_ntriples;
 use stjoin::core::DatasetArena;
-use stjoin::core::{ExecStrategy, JoinMethod, TopologyJoin};
+use stjoin::core::{JoinMethod, TopologyJoin};
 use stjoin::datagen::DatasetId;
 use stjoin::geom::wkt::polygon_from_wkt;
 use stjoin::obs::Json;
@@ -164,8 +160,8 @@ USAGE:
   stj join <LEFT> <RIGHT> [--method pc|st2|op2|april]
            (either side may be a .stjd dataset or a .stjm shard manifest;
             a manifest on either side selects the out-of-core driver)
-           [--predicate REL] [--exec streaming|materialized]
-           [--threads N (0 = auto)] [--adaptive on|off|force-skip]
+           [--predicate REL] [--threads N (0 = auto)]
+           [--adaptive on|off|force-skip]
            [--ntriples OUT.nt]
            [--stats-json OUT.json] [--trace OUT.json] [--progress] [--quiet]
   stj bench-diff <BASELINE.json> <CURRENT.json> [--threshold PCT]
@@ -389,8 +385,6 @@ fn cmd_join(args: &[String]) -> Result<(), String> {
     let mut method = JoinMethod::PC;
     let mut method_name = "pc";
     let mut predicate: Option<TopoRelation> = None;
-    let mut strategy = ExecStrategy::Streaming;
-    let mut strategy_name = "streaming";
     // 0 = auto-detect (available_parallelism), resolved by TopologyJoin.
     let mut threads = 0usize;
     let mut ntriples: Option<String> = None;
@@ -416,18 +410,6 @@ fn cmd_join(args: &[String]) -> Result<(), String> {
                 };
             }
             "--predicate" => predicate = Some(parse_relation(&next_arg(&mut it, "--predicate")?)?),
-            "--exec" => {
-                let name = next_arg(&mut it, "--exec")?;
-                (strategy, strategy_name) = match name.as_str() {
-                    "streaming" => (ExecStrategy::Streaming, "streaming"),
-                    "materialized" => (ExecStrategy::Materialized, "materialized"),
-                    other => {
-                        return Err(format!(
-                            "unknown exec strategy {other:?} (expected streaming or materialized)"
-                        ))
-                    }
-                };
-            }
             "--threads" => {
                 threads = next_arg(&mut it, "--threads")?
                     .parse()
@@ -450,11 +432,6 @@ fn cmd_join(args: &[String]) -> Result<(), String> {
     let [left_path, right_path] = pos.as_slice() else {
         return Err("join needs <LEFT.stjd> <RIGHT.stjd>".into());
     };
-    if trace_out.is_some() && strategy == ExecStrategy::Materialized {
-        return Err("--trace records per-task spans of the streaming executor; \
-             it cannot be combined with --exec materialized"
-            .into());
-    }
     let external = is_manifest_file(std::path::Path::new(left_path))
         || is_manifest_file(std::path::Path::new(right_path));
     if external && trace_out.is_some() {
@@ -468,7 +445,6 @@ fn cmd_join(args: &[String]) -> Result<(), String> {
 
     let mut join = TopologyJoin::new()
         .method(method)
-        .strategy(strategy)
         .threads(threads)
         .adaptive(adaptive)
         .profiled(stats_json.is_some())
@@ -558,7 +534,6 @@ fn cmd_join(args: &[String]) -> Result<(), String> {
             &lname,
             &rname,
             method_name,
-            strategy_name,
             predicate,
             effective_threads,
             dt,
@@ -611,7 +586,6 @@ fn join_report(
     left: &str,
     right: &str,
     method: &str,
-    exec: &str,
     predicate: Option<TopoRelation>,
     threads: usize,
     wall: std::time::Duration,
@@ -625,7 +599,9 @@ fn join_report(
         ("left", Json::str(left)),
         ("right", Json::str(right)),
         ("method", Json::str(method)),
-        ("exec", Json::str(exec)),
+        // The join has a single executor; the field stays so
+        // stj-join-report/v1 keeps its shape.
+        ("exec", Json::str("streaming")),
         (
             "predicate",
             predicate.map_or(Json::Null, |p| Json::str(p.to_string())),
@@ -1165,7 +1141,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
 /// one per line on stdin; links stream to stdout as they are found, so
 /// memory stays bounded by one probe at a time.
 fn cmd_discover(args: &[String]) -> Result<(), String> {
-    use stjoin::core::RelateScratch;
+    use stjoin::core::{PairCtx, RelateScratch};
     use stjoin::serve::discover::{discover_probe, DiscoverFormat};
     use stjoin::serve::LoadedDataset;
 
@@ -1191,10 +1167,13 @@ fn cmd_discover(args: &[String]) -> Result<(), String> {
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
     let mut w = BufWriter::new(stdout.lock());
-    let mut scratch = RelateScratch::default();
     // The CLI runs the static pipeline: no resident model to warm, and
     // deterministic output for the discover-vs-join equality check.
-    let mut adaptive = None;
+    let mut pair_ctx = PairCtx {
+        scratch: &mut RelateScratch::default(),
+        prof: &mut stjoin::obs::Disabled,
+        adaptive: None,
+    };
     let mut out = String::new();
     let (mut probes, mut candidates, mut links) = (0u64, 0u64, 0u64);
     for (lineno, line) in std::io::BufRead::lines(stdin.lock()).enumerate() {
@@ -1203,19 +1182,9 @@ fn cmd_discover(args: &[String]) -> Result<(), String> {
         if wkt.is_empty() {
             continue;
         }
-        let poly =
-            polygon_from_wkt(wkt).map_err(|e| format!("probe line {}: {e}", lineno + 1))?;
+        let poly = polygon_from_wkt(wkt).map_err(|e| format!("probe line {}: {e}", lineno + 1))?;
         out.clear();
-        let (c, l) = discover_probe(
-            &ds,
-            probes,
-            poly,
-            &name,
-            format,
-            &mut scratch,
-            &mut adaptive,
-            &mut out,
-        );
+        let (c, l) = discover_probe(&ds, probes, poly, &name, format, &mut pair_ctx, &mut out);
         probes += 1;
         candidates += c;
         links += l;

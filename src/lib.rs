@@ -17,7 +17,10 @@
 //! - [`index`] — MBR classification (Figure 4) and the MBR join filter
 //!   step;
 //! - [`core`] — the P+C pipeline ([`find_relation`]), `relate_p`
-//!   ([`relate_p`]), and the ST2/OP2/APRIL baselines;
+//!   ([`relate_p`]), their per-worker [`PairCtx`] forms
+//!   ([`find_relation_with`], [`relate_p_with`]), the ST2/OP2/APRIL
+//!   baselines behind [`JoinMethod::find_relation`], and the
+//!   streaming [`TopologyJoin`] executor;
 //! - [`datagen`] — seeded synthetic datasets mirroring the paper's
 //!   evaluation scenarios;
 //! - [`store`] — persistence: the columnar STJD v2 format (bulk-load
@@ -78,10 +81,9 @@ pub use stj_serve as serve;
 pub use stj_store as store;
 
 pub use stj_core::{
-    find_relation, find_relation_april, find_relation_op2, find_relation_st2, relate_p,
-    AdaptiveMode, AdaptiveModel, AdaptiveReport, Dataset, DatasetArena, Determination,
-    ExecStrategy, FindOutcome, JoinMethod, JoinResult, Link, ObjectRef, PipelineStats,
-    RelateDetermination, RelateOutcome, SpatialObject, TopologyJoin,
+    find_relation, find_relation_with, relate_p, relate_p_with, AdaptiveMode, AdaptiveModel,
+    AdaptiveReport, Dataset, DatasetArena, Determination, FindOutcome, JoinMethod, JoinResult,
+    Link, ObjectRef, PairCtx, PipelineStats, RelateOutcome, SpatialObject, TopologyJoin,
 };
 pub use stj_de9im::{relate, De9Im, Mask, TopoRelation};
 pub use stj_geom::{MultiPolygon, Point, Polygon, Rect, Ring, Segment};
@@ -91,9 +93,9 @@ pub use stj_raster::{AprilApprox, Grid, IntervalList};
 /// Convenience glob-import module: `use stjoin::prelude::*;`.
 pub mod prelude {
     pub use stj_core::{
-        find_relation, find_relation_april, find_relation_op2, find_relation_st2, relate_p,
-        AdaptiveMode, Dataset, DatasetArena, Determination, ExecStrategy, FindOutcome, JoinMethod,
-        Link, ObjectRef, PipelineStats, SpatialObject, TopologyJoin,
+        find_relation, find_relation_with, relate_p, relate_p_with, AdaptiveMode, Dataset,
+        DatasetArena, Determination, FindOutcome, JoinMethod, Link, ObjectRef, PairCtx,
+        PipelineStats, SpatialObject, TopologyJoin,
     };
     pub use stj_de9im::{relate, De9Im, TopoRelation};
     pub use stj_geom::{MultiPolygon, Point, Polygon, Rect, Ring, Segment};

@@ -461,18 +461,6 @@ fn join_trace_and_attribution() {
         .expect("preprocess");
     assert!(out.status.success());
 
-    // --trace requires the streaming executor.
-    let out = stj()
-        .arg("join")
-        .arg(&bin)
-        .arg(&bin)
-        .args(["--exec", "materialized", "--trace"])
-        .arg(dir.join("nope.json"))
-        .output()
-        .expect("materialized trace join");
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("streaming"));
-
     let trace_path = dir.join("trace.json");
     let report_path = dir.join("report.json");
     let out = stj()

@@ -8,6 +8,8 @@
 
 use proptest::prelude::*;
 use stjoin::datagen::pair_with_relation;
+use stjoin::de9im::RelateScratch;
+use stjoin::obs::Disabled;
 use stjoin::prelude::*;
 
 const ALL_RELATIONS: [TopoRelation; 8] = [
@@ -25,20 +27,23 @@ fn grid() -> Grid {
     Grid::new(Rect::from_coords(-200.0, -200.0, 1200.0, 1200.0), 10)
 }
 
-type Method = fn(ObjectRef<'_>, ObjectRef<'_>) -> FindOutcome;
-
 /// Asserts converse symmetry for one preprocessed pair, for every join
 /// method and every `relate_p` predicate.
 fn assert_converse(r: &SpatialObject, s: &SpatialObject, ctx: &str) {
-    let methods: [(&str, Method); 4] = [
-        ("P+C", find_relation),
-        ("ST2", find_relation_st2),
-        ("OP2", find_relation_op2),
-        ("APRIL", find_relation_april),
+    let mut pair = PairCtx {
+        scratch: &mut RelateScratch::default(),
+        prof: &mut Disabled,
+        adaptive: None,
+    };
+    let methods = [
+        ("P+C", JoinMethod::PC),
+        ("ST2", JoinMethod::St2),
+        ("OP2", JoinMethod::Op2),
+        ("APRIL", JoinMethod::April),
     ];
     for (name, method) in methods {
-        let fwd = method(r.view(), s.view()).relation;
-        let rev = method(s.view(), r.view()).relation;
+        let fwd = method.find_relation(r.view(), s.view(), &mut pair).relation;
+        let rev = method.find_relation(s.view(), r.view(), &mut pair).relation;
         assert_eq!(rev, fwd.converse(), "{name} {ctx}: {fwd:?} vs {rev:?}");
         // converse is an involution, so the reverse direction follows.
         assert_eq!(fwd, rev.converse(), "{name} {ctx} (back)");

@@ -5,6 +5,8 @@
 
 use std::collections::BTreeMap;
 use stjoin::datagen::{generate_combo, ComboId};
+use stjoin::de9im::RelateScratch;
+use stjoin::obs::Disabled;
 use stjoin::prelude::*;
 
 /// Builds both datasets of a combo at a tiny scale into columnar arenas
@@ -31,20 +33,24 @@ fn run_combo(combo: ComboId, scale: f64, expect_if_decisions: bool) {
     let mut op2 = PipelineStats::default();
     let mut april = PipelineStats::default();
     let mut histogram: BTreeMap<String, u64> = BTreeMap::new();
+    let mut ctx = PairCtx {
+        scratch: &mut RelateScratch::default(),
+        prof: &mut Disabled,
+        adaptive: None,
+    };
 
     for &(i, j) in &pairs {
         let (ro, so) = (r.object(i as usize), s.object(j as usize));
         let a = find_relation(ro, so);
-        let b = find_relation_st2(ro, so);
-        let c = find_relation_op2(ro, so);
-        let d = find_relation_april(ro, so);
+        let [b, c, d] = [JoinMethod::St2, JoinMethod::Op2, JoinMethod::April]
+            .map(|m| m.find_relation(ro, so, &mut ctx));
         assert_eq!(a.relation, b.relation, "{} pair ({i},{j})", combo.name());
         assert_eq!(a.relation, c.relation, "{} pair ({i},{j})", combo.name());
         assert_eq!(a.relation, d.relation, "{} pair ({i},{j})", combo.name());
-        pc.record(&a);
-        st2.record(&b);
-        op2.record(&c);
-        april.record(&d);
+        pc.record(a.determination);
+        st2.record(b.determination);
+        op2.record(c.determination);
+        april.record(d.determination);
         *histogram.entry(a.relation.to_string()).or_default() += 1;
     }
 

@@ -1,10 +1,14 @@
-//! Differential property suite for the two `TopologyJoin` executors:
-//! over seeded datasets spanning several tiling resolutions, skew
-//! shapes, and edge cases, the streaming fused executor must produce
-//! exactly the materialized executor's links (up to order), its
-//! `PipelineStats`, its candidate count, and its profile totals — at
-//! every thread count, in find-relation and predicate mode.
+//! Differential property suite for the `TopologyJoin` executor: over
+//! seeded datasets spanning several tiling resolutions, skew shapes, and
+//! edge cases, the parallel streaming executor must produce exactly the
+//! links (up to order), `PipelineStats`, candidate count, and profile
+//! totals of a plain sequential loop — `mbr_join` candidates through the
+//! per-pair entry point with a `Recorder` profiler
+//! (`stjoin::check::reference_join`), which shares no scheduling code
+//! with the executor — at every thread count, in find-relation and
+//! predicate mode.
 
+use stjoin::check::reference_join;
 use stjoin::obs::Stage;
 use stjoin::prelude::*;
 
@@ -45,56 +49,57 @@ fn sorted_links(mut links: Vec<Link>) -> Vec<Link> {
     links
 }
 
-/// Runs both executors over the configuration across thread counts
-/// (including `0` = auto-detect) and asserts full equivalence: links,
-/// stats, candidates, and exact profile totals.
-fn assert_equivalent(label: &str, left: &DatasetArena, right: &DatasetArena, join: TopologyJoin) {
-    let baseline = join
-        .strategy(ExecStrategy::Materialized)
-        .threads(1)
-        .profiled(true)
-        .run(left, right);
+/// Runs the executor over the configuration across thread counts
+/// (including `0` = auto-detect) and asserts full equivalence with the
+/// sequential reference: links, stats, candidates, and exact profile
+/// totals.
+fn assert_equivalent(
+    label: &str,
+    left: &DatasetArena,
+    right: &DatasetArena,
+    method: JoinMethod,
+    predicate: Option<TopoRelation>,
+) {
+    let baseline = reference_join(left, right, method, predicate);
     let base_links = sorted_links(baseline.links.clone());
     let base_profile = baseline.profile.as_ref().expect("profiled");
-    for strategy in [ExecStrategy::Streaming, ExecStrategy::Materialized] {
-        for threads in [0, 1, 2, 4, 8] {
-            let got = join
-                .strategy(strategy)
-                .threads(threads)
-                .profiled(true)
-                .run(left, right);
-            let tag = format!("{label}: {strategy:?} x{threads}");
-            assert_eq!(got.candidates, baseline.candidates, "{tag}: candidates");
-            assert_eq!(got.stats, baseline.stats, "{tag}: stats");
-            assert_eq!(sorted_links(got.links.clone()), base_links, "{tag}: links");
-            let profile = got.profile.as_ref().expect("profiled");
+    let mut join = TopologyJoin::new().method(method);
+    if let Some(p) = predicate {
+        join = join.predicate(p);
+    }
+    for threads in [0, 1, 2, 4, 8] {
+        let got = join.threads(threads).profiled(true).run(left, right);
+        let tag = format!("{label}: x{threads}");
+        assert_eq!(got.candidates, baseline.candidates, "{tag}: candidates");
+        assert_eq!(got.stats, baseline.stats, "{tag}: stats");
+        assert_eq!(sorted_links(got.links.clone()), base_links, "{tag}: links");
+        let profile = got.profile.as_ref().expect("profiled");
+        assert_eq!(
+            profile.pairs_decided(),
+            base_profile.pairs_decided(),
+            "{tag}: pairs decided"
+        );
+        for stage in Stage::ALL {
             assert_eq!(
-                profile.pairs_decided(),
-                base_profile.pairs_decided(),
-                "{tag}: pairs decided"
+                profile.stage(stage).decided,
+                base_profile.stage(stage).decided,
+                "{tag}: {} decided",
+                stage.name()
             );
-            for stage in Stage::ALL {
-                assert_eq!(
-                    profile.stage(stage).decided,
-                    base_profile.stage(stage).decided,
-                    "{tag}: {} decided",
-                    stage.name()
-                );
-                assert_eq!(
-                    profile.stage(stage).latency.count(),
-                    base_profile.stage(stage).latency.count(),
-                    "{tag}: {} latency count",
-                    stage.name()
-                );
-            }
-            for (c, (got_c, base_c)) in profile
-                .classes
-                .iter()
-                .zip(&base_profile.classes)
-                .enumerate()
-            {
-                assert_eq!(got_c.pairs, base_c.pairs, "{tag}: class {c} pairs");
-            }
+            assert_eq!(
+                profile.stage(stage).latency.count(),
+                base_profile.stage(stage).latency.count(),
+                "{tag}: {} latency count",
+                stage.name()
+            );
+        }
+        for (c, (got_c, base_c)) in profile
+            .classes
+            .iter()
+            .zip(&base_profile.classes)
+            .enumerate()
+        {
+            assert_eq!(got_c.pairs, base_c.pairs, "{tag}: class {c} pairs");
         }
     }
 }
@@ -108,7 +113,7 @@ fn random_datasets_across_tiling_resolutions() {
         let extent = Rect::from_coords(-5.0, -5.0, span + 40.0, span + 40.0);
         let l = arena("L", random_rect_polys(n, seed, span, 28.0), extent);
         let r = arena("R", random_rect_polys(n, seed + 100, span, 28.0), extent);
-        assert_equivalent(&format!("random n={n}"), &l, &r, TopologyJoin::new());
+        assert_equivalent(&format!("random n={n}"), &l, &r, JoinMethod::PC, None);
     }
 }
 
@@ -123,7 +128,7 @@ fn skewed_hot_spot_splits_without_divergence() {
     r.extend(random_rect_polys(100, 24, 1000.0, 30.0));
     let l = arena("L", l, extent);
     let r = arena("R", r, extent);
-    assert_equivalent("skewed", &l, &r, TopologyJoin::new());
+    assert_equivalent("skewed", &l, &r, JoinMethod::PC, None);
 }
 
 #[test]
@@ -131,9 +136,9 @@ fn empty_datasets() {
     let extent = Rect::from_coords(0.0, 0.0, 100.0, 100.0);
     let empty = arena("E", vec![], extent);
     let some = arena("S", random_rect_polys(25, 31, 90.0, 10.0), extent);
-    assert_equivalent("empty x empty", &empty, &empty, TopologyJoin::new());
-    assert_equivalent("empty x some", &empty, &some, TopologyJoin::new());
-    assert_equivalent("some x empty", &some, &empty, TopologyJoin::new());
+    assert_equivalent("empty x empty", &empty, &empty, JoinMethod::PC, None);
+    assert_equivalent("empty x some", &empty, &some, JoinMethod::PC, None);
+    assert_equivalent("some x empty", &some, &empty, JoinMethod::PC, None);
 }
 
 #[test]
@@ -145,8 +150,8 @@ fn single_giant_object_replicated_across_all_tiles() {
         extent,
     );
     let many = arena("M", random_rect_polys(400, 41, 980.0, 12.0), extent);
-    assert_equivalent("giant x many", &giant, &many, TopologyJoin::new());
-    assert_equivalent("many x giant", &many, &giant, TopologyJoin::new());
+    assert_equivalent("giant x many", &giant, &many, JoinMethod::PC, None);
+    assert_equivalent("many x giant", &many, &giant, JoinMethod::PC, None);
 }
 
 #[test]
@@ -158,7 +163,7 @@ fn identical_point_like_mbrs() {
     let sq = Polygon::rect(Rect::from_coords(50.0, 50.0, 50.5, 50.5));
     let l = arena("L", vec![sq.clone(); 40], extent);
     let r = arena("R", vec![sq; 30], extent);
-    assert_equivalent("identical mbrs", &l, &r, TopologyJoin::new());
+    assert_equivalent("identical mbrs", &l, &r, JoinMethod::PC, None);
 }
 
 #[test]
@@ -172,12 +177,7 @@ fn all_methods_and_predicate_mode_agree_across_strategies() {
         JoinMethod::Op2,
         JoinMethod::April,
     ] {
-        assert_equivalent(
-            &format!("{method:?}"),
-            &l,
-            &r,
-            TopologyJoin::new().method(method),
-        );
+        assert_equivalent(&format!("{method:?}"), &l, &r, method, None);
     }
     for predicate in [
         TopoRelation::Intersects,
@@ -188,7 +188,8 @@ fn all_methods_and_predicate_mode_agree_across_strategies() {
             &format!("predicate {predicate:?}"),
             &l,
             &r,
-            TopologyJoin::new().predicate(predicate),
+            JoinMethod::PC,
+            Some(predicate),
         );
     }
 }

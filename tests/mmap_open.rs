@@ -13,29 +13,41 @@
 //! produces a query-identical arena — it just skips the byte bound.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::io::Write;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use stjoin::core::{Dataset, TopologyJoin};
 use stjoin::geom::Rect;
 use stjoin::raster::Grid;
 use stjoin::store::{open_arena, open_arena_from_bytes, write_arena_v2};
 
+/// Counts the bytes the calling thread requests from the allocator, so
+/// the measured open on the test thread sees none of what concurrently
+/// running tests allocate.
 struct CountingAlloc;
 
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialised and drop-free, so reading it from inside the
+    // allocator never allocates or registers a destructor.
+    static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note_alloc(bytes: usize) {
+    // `try_with` tolerates allocations during thread teardown.
+    let _ = ALLOC_BYTES.try_with(|c| c.set(c.get() + bytes as u64));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Relaxed);
+        note_alloc(layout.size());
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Relaxed);
+        note_alloc(layout.size());
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_BYTES.fetch_add(new_size as u64, Relaxed);
+        note_alloc(new_size);
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -68,9 +80,9 @@ fn mapped_open_performs_no_full_file_copy() {
         .and_then(|mut f| f.write_all(&bytes))
         .expect("write v2 file");
 
-    let before = ALLOC_BYTES.load(Relaxed);
+    let before = ALLOC_BYTES.with(Cell::get);
     let (opened, ogrid) = open_arena(&path).expect("open v2 file");
-    let open_bytes = ALLOC_BYTES.load(Relaxed) - before;
+    let open_bytes = ALLOC_BYTES.with(Cell::get) - before;
     let _ = std::fs::remove_file(&path);
 
     assert_eq!(ogrid, grid);

@@ -8,6 +8,8 @@
 
 use proptest::prelude::*;
 use stjoin::datagen::{pair_with_relation, star_polygon, StarParams};
+use stjoin::de9im::RelateScratch;
+use stjoin::obs::Disabled;
 use stjoin::prelude::*;
 
 const ALL_RELATIONS: [TopoRelation; 8] = [
@@ -37,21 +39,18 @@ fn assert_all_methods_agree(r: &SpatialObject, s: &SpatialObject, ctx: &str) {
         expect,
         "P+C {ctx}"
     );
-    assert_eq!(
-        find_relation_st2(r.view(), s.view()).relation,
-        expect,
-        "ST2 {ctx}"
-    );
-    assert_eq!(
-        find_relation_op2(r.view(), s.view()).relation,
-        expect,
-        "OP2 {ctx}"
-    );
-    assert_eq!(
-        find_relation_april(r.view(), s.view()).relation,
-        expect,
-        "APRIL {ctx}"
-    );
+    let mut pair = PairCtx {
+        scratch: &mut RelateScratch::default(),
+        prof: &mut Disabled,
+        adaptive: None,
+    };
+    for method in [JoinMethod::St2, JoinMethod::Op2, JoinMethod::April] {
+        assert_eq!(
+            method.find_relation(r.view(), s.view(), &mut pair).relation,
+            expect,
+            "{method:?} {ctx}"
+        );
+    }
     for p in ALL_RELATIONS {
         let want = p.holds(&relate(&r.polygon, &s.polygon));
         assert_eq!(
@@ -156,7 +155,7 @@ fn determination_paths_are_all_reachable() {
     let mut stats = PipelineStats::default();
     for (i, r) in objs.iter().enumerate() {
         for s in objs.iter().skip(i + 1) {
-            stats.record(&find_relation(r.view(), s.view()));
+            stats.record(find_relation(r.view(), s.view()).determination);
         }
     }
     assert!(stats.pairs > 0);
