@@ -14,7 +14,7 @@
 //!   one pair in [`TIME_SAMPLE_PERIOD`] during warm-up takes two
 //!   `Instant` reads around each stage. The counters are always on —
 //!   they do not require the full `Profiler` — and workers fold them
-//!   into the shared atomic model every [`MERGE_PERIOD`] pairs, so the
+//!   into the shared atomic model every `MERGE_PERIOD` (1024) pairs, so the
 //!   per-pair path never touches shared cache lines.
 //! - **Warm-up and verdict**: once a cell has observed
 //!   [`WARMUP_SAMPLES`] pairs (and at least one timing sample), it
@@ -27,7 +27,7 @@
 //!   filter, which narrows the candidate set even when inconclusive, so
 //!   a skip verdict rests on an underestimate of the unfiltered refine
 //!   cost. Skipped refinements keep being sampled (one in
-//!   [`POST_SAMPLE_PERIOD`]), and once [`REVISIT_SAMPLES`] realized
+//!   `POST_SAMPLE_PERIOD` = 64), and once `REVISIT_SAMPLES` (8) realized
 //!   samples disagree — the full pipeline is cheaper than the skip
 //!   path's actual refinement — the verdict flips back to *keep*,
 //!   one-way, within a few dozen pairs per worker.
@@ -225,7 +225,7 @@ impl LocalCell {
 }
 
 /// The shared per-join (or, in `stj-serve`, per-process) decisiveness
-/// model: one [`SharedCell`] per (MBR class × query mode). Safe to share
+/// model: one atomic cell per (MBR class × query mode). Safe to share
 /// across worker threads; all operations are relaxed atomics off the
 /// per-pair fast path.
 pub struct AdaptiveModel {

@@ -35,6 +35,25 @@
 //! only *clears* the buffers between pairs, so steady-state refinement
 //! performs no allocations at all. [`relate`] stays as the allocating
 //! one-shot wrapper.
+//!
+//! The scratch also bounds the *work* of a pair by the part of it that
+//! can interact, not by the larger geometry:
+//!
+//! - the sweep is windowed to `mbr(r) ∩ mbr(s)` (see
+//!   [`stj_geom::sweep`]), so a small building against a large park sorts
+//!   and scans only the park edges near the building;
+//! - `classify_boundary` settles an edge with no hits — one sub-edge,
+//!   midpoint `edge.at(0.5)` — as exterior straight away when that
+//!   midpoint is off the other geometry's MBR, without noding it;
+//! - the two [`Prepared`] slots keep their point-location index across
+//!   calls and rebuild it only when the incoming geometry's edges differ
+//!   bit for bit from the prepared ones, so a run of pairs sharing the
+//!   park prepares the park once. The check is by content, not address:
+//!   serve workers keep one scratch across requests and reloads, where a
+//!   new probe or a remapped arena can land at an old address.
+//!
+//! Each step yields exactly the matrix the unwindowed, unprepared path
+//! does.
 
 use crate::matrix::{De9Im, Part};
 use stj_geom::locator::EdgeSetLocator;
@@ -49,9 +68,13 @@ use stj_geom::{InteriorScratch, Point, Rect, Segment};
 ///
 /// The edge list lives inside the locator; [`Prepared::prepare`] rebuilds
 /// everything in place so one `Prepared` can be recycled across
-/// geometries without allocating.
+/// geometries without allocating, and skips the locator rebuild when the
+/// incoming geometry's edges are bit-identical to the ones it holds.
 pub struct Prepared {
     locator: EdgeSetLocator,
+    /// Landing buffer for the incoming geometry's edges; copied into the
+    /// locator when they differ from the prepared ones.
+    incoming: Vec<Segment>,
     interior_points: Vec<Point>,
     mbr: Rect,
     num_vertices: usize,
@@ -70,6 +93,7 @@ impl Prepared {
     pub fn empty() -> Prepared {
         Prepared {
             locator: EdgeSetLocator::empty(),
+            incoming: Vec::new(),
             interior_points: Vec::new(),
             mbr: Rect::empty(),
             num_vertices: 0,
@@ -78,9 +102,22 @@ impl Prepared {
 
     /// Re-targets this `Prepared` at `g`, rebuilding edges, locator index
     /// and interior points inside the retained buffers.
+    ///
+    /// When `g`'s edge sequence is bit-identical to the one already
+    /// prepared — consecutive pairs of a join usually share their large
+    /// side — the locator index is kept as it is. Reuse is decided by
+    /// content, never by address: a geometry mutated in place, or a new
+    /// one allocated where an old one lived, still gets a fresh index.
     pub fn prepare<G: Areal + ?Sized>(&mut self, g: &G, interior: &mut InteriorScratch) {
         let _site = stj_obs::alloc::enter(stj_obs::AllocSite::Noding);
-        self.locator.rebuild(|out| g.collect_edges(out));
+        let incoming = &mut self.incoming;
+        incoming.clear();
+        g.collect_edges(incoming);
+        if !same_bits(incoming, self.locator.edges()) {
+            // Copied rather than swapped: each buffer then ratchets to
+            // the largest edge set seen, whatever order geometries come in.
+            self.locator.rebuild(|out| out.extend_from_slice(incoming));
+        }
         self.interior_points.clear();
         g.collect_interior_points(interior, &mut self.interior_points);
         self.mbr = g.mbr();
@@ -112,6 +149,13 @@ impl Prepared {
     }
 }
 
+/// Whether two edge sequences are identical bit for bit (so `-0.0` and
+/// `0.0` differ, which only costs a rebuild).
+fn same_bits(a: &[Segment], b: &[Segment]) -> bool {
+    let bits = |s: &Segment| [s.a.x, s.a.y, s.b.x, s.b.y].map(f64::to_bits);
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| bits(x) == bits(y))
+}
+
 /// Reusable working memory for [`relate_with`]: two recyclable
 /// [`Prepared`] slots plus every transient buffer the sweep and sub-edge
 /// classification need. One per worker thread; buffers are cleared (never
@@ -135,8 +179,7 @@ impl Default for Prepared {
 /// Computes the boolean DE-9IM matrix of `(r, s)`.
 ///
 /// Convenience wrapper that prepares both geometries with one-shot
-/// buffers; use [`relate_with`] on hot paths and [`relate_prepared`] when
-/// a geometry participates in many pairs.
+/// buffers; use [`relate_with`] on hot paths.
 pub fn relate<A: Areal, B: Areal>(r: &A, s: &B) -> De9Im {
     relate_with(r, s, &mut RelateScratch::default())
 }
@@ -145,6 +188,12 @@ pub fn relate<A: Areal, B: Areal>(r: &A, s: &B) -> De9Im {
 /// scratch memory. Steady-state allocation-free: after a few warm-up
 /// calls the scratch's buffers have grown to working size and are only
 /// cleared between pairs.
+///
+/// A geometry that participates in many pairs needs no separate
+/// [`relate_prepared`] call: the scratch keeps `r` and `s` prepared in
+/// its two slots, and a following call whose `r` (or `s`) has the same
+/// edges reuses that slot's point-location index instead of rebuilding
+/// it (see [`Prepared::prepare`]).
 pub fn relate_with<A: Areal, B: Areal>(r: &A, s: &B, scratch: &mut RelateScratch) -> De9Im {
     let RelateScratch {
         pa,
@@ -337,11 +386,18 @@ fn classify_boundary(
         if flags.in_interior && flags.in_exterior && flags.on_boundary {
             break; // all information gathered
         }
+        let (lo, hi) = (offs[i] as usize, offs[i + 1] as usize);
+        if lo == hi && !other.locator.mbr().contains_point(edge.at(0.5)) {
+            // An unhit edge is one sub-edge with midpoint `at(0.5)`; off
+            // the other's MBR that midpoint is `Outside`, which is the
+            // first test `locate` makes.
+            flags.in_exterior = true;
+            continue;
+        }
         ts.clear();
         on_ranges.clear();
         ts.push(0.0);
         ts.push(1.0);
-        let (lo, hi) = (offs[i] as usize, offs[i + 1] as usize);
         for &k in &scratch.hit_idx[lo..hi] {
             match hits[k as usize].kind {
                 SegSegIntersection::Proper(p) | SegSegIntersection::Touch(p) => {

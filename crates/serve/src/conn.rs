@@ -328,7 +328,8 @@ mod tests {
     #[test]
     fn pipelined_requests_parse_one_at_a_time() {
         let mut c = test_conn();
-        c.rbuf.extend_from_slice(b"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n");
+        c.rbuf
+            .extend_from_slice(b"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n");
         match c.try_parse() {
             ParseStep::Request(ParsedRequest::Http(r), _) => assert_eq!(r.path, "/a"),
             _ => panic!("first request"),

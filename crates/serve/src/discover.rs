@@ -165,7 +165,7 @@ impl DiscoverStream {
     }
 
     /// Renders the next chunk, or `None` once the job is done. A chunk
-    /// covers whole probes up to roughly [`CHUNK_TARGET_BYTES`]; the
+    /// covers whole probes up to roughly `CHUNK_TARGET_BYTES` (32 KiB); the
     /// final chunk carries the NDJSON summary line.
     ///
     /// Deliberately not deadline-bounded: a bulk job runs as long as it

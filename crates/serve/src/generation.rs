@@ -195,7 +195,11 @@ mod tests {
         });
         assert_eq!(cell.id(), 2);
         assert_eq!(held.id, 1);
-        assert_eq!(held.datasets[0].arena.len(), 3, "drained requests keep the old data");
+        assert_eq!(
+            held.datasets[0].arena.len(),
+            3,
+            "drained requests keep the old data"
+        );
         assert_eq!(cell.current().datasets[0].arena.len(), 5);
     }
 }

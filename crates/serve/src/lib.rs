@@ -115,7 +115,11 @@ impl ServeConfig {
 
     /// The header-read deadline after resolving `0` to the default.
     pub fn header_deadline(&self) -> std::time::Duration {
-        std::time::Duration::from_millis(if self.header_ms > 0 { self.header_ms } else { 2000 })
+        std::time::Duration::from_millis(if self.header_ms > 0 {
+            self.header_ms
+        } else {
+            2000
+        })
     }
 
     /// The config block embedded in `/stats`.
@@ -127,7 +131,10 @@ impl ServeConfig {
             ("cache_mb", Json::U64(self.cache_mb as u64)),
             ("deadline_ms", Json::U64(self.deadline_ms)),
             ("max_links", Json::U64(self.max_links)),
-            ("idle_ms", Json::U64(self.idle_deadline().as_millis() as u64)),
+            (
+                "idle_ms",
+                Json::U64(self.idle_deadline().as_millis() as u64),
+            ),
             (
                 "header_ms",
                 Json::U64(self.header_deadline().as_millis() as u64),
@@ -227,7 +234,10 @@ impl ServeCtx {
     /// Hot-swaps in a freshly loaded generation (see
     /// [`GenerationCell::reload`]) and invalidates the probe cache. On
     /// error the old generation and cache stay untouched.
-    pub fn reload(&self, override_paths: Option<Vec<std::path::PathBuf>>) -> Result<Arc<Generation>, String> {
+    pub fn reload(
+        &self,
+        override_paths: Option<Vec<std::path::PathBuf>>,
+    ) -> Result<Arc<Generation>, String> {
         match self.generations.reload(override_paths) {
             Ok(fresh) => {
                 // New lookups key on the new generation id already; the

@@ -171,7 +171,10 @@ pub fn dispatch_reply(
     let gen = ctx.generation();
     let full = |r: Response| Reply::Full(r);
     match (method, path) {
-        ("GET", "/healthz") => full(Response::json(200, &Json::object([("ok", Json::Bool(true))]))),
+        ("GET", "/healthz") => full(Response::json(
+            200,
+            &Json::object([("ok", Json::Bool(true))]),
+        )),
         ("GET", "/stats") => full(handle_stats(ctx, &gen)),
         ("GET", "/metrics") => full(handle_metrics(ctx, &gen)),
         ("GET", "/v1/datasets") => full(handle_datasets(&gen)),
@@ -372,10 +375,7 @@ fn handle_metrics(ctx: &ServeCtx, gen: &Generation) -> Response {
         &[],
         s.write_backlog_bytes.get() as f64,
     );
-    for (cause, counter) in [
-        ("idle", &s.idle_timeouts),
-        ("header", &s.header_timeouts),
-    ] {
+    for (cause, counter) in [("idle", &s.idle_timeouts), ("header", &s.header_timeouts)] {
         w.counter(
             "stj_serve_connection_timeouts_total",
             "Connections closed by a deadline, by cause.",
@@ -923,9 +923,7 @@ fn handle_reload(ctx: &ServeCtx, body: &[u8]) -> Response {
                 ]),
             )
         }
-        Err(e) if e.contains("no dataset paths") => {
-            Response::error(409, "reload_unavailable", e)
-        }
+        Err(e) if e.contains("no dataset paths") => Response::error(409, "reload_unavailable", e),
         Err(e) => Response::error(500, "reload_failed", e),
     }
 }
@@ -1140,7 +1138,10 @@ mod tests {
         let r = dispatch(&ctx, "GET", "/v1/pair", &q, b"");
         assert_eq!(r.status, 200);
         let gen = ctx.generation();
-        let expect = find_relation(gen.datasets[0].arena.object(1), gen.datasets[0].arena.object(0));
+        let expect = find_relation(
+            gen.datasets[0].arena.object(1),
+            gen.datasets[0].arena.object(0),
+        );
         assert!(
             body_str(&r).contains(&format!("\"relation\": \"{}\"", expect.relation)),
             "{}",
@@ -1253,13 +1254,25 @@ mod tests {
         let q = vec![("dataset".to_string(), "boxes".to_string())];
         assert_eq!(dispatch(&ctx, "POST", "/v1/discover", &q, b"").status, 400);
         let q = vec![("dataset".to_string(), "nope".to_string())];
-        let r = dispatch(&ctx, "POST", "/v1/discover", &q, b"POLYGON((0 0,1 0,1 1,0 0))");
+        let r = dispatch(
+            &ctx,
+            "POST",
+            "/v1/discover",
+            &q,
+            b"POLYGON((0 0,1 0,1 1,0 0))",
+        );
         assert_eq!(r.status, 404);
         let q = vec![
             ("dataset".to_string(), "boxes".to_string()),
             ("format".to_string(), "xml".to_string()),
         ];
-        let r = dispatch(&ctx, "POST", "/v1/discover", &q, b"POLYGON((0 0,1 0,1 1,0 0))");
+        let r = dispatch(
+            &ctx,
+            "POST",
+            "/v1/discover",
+            &q,
+            b"POLYGON((0 0,1 0,1 1,0 0))",
+        );
         assert_eq!(r.status, 400);
         assert!(body_str(&r).contains("unknown format"), "{}", body_str(&r));
     }

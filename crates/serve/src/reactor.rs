@@ -30,7 +30,7 @@
 //!   corrupt a response already underway.
 //! - **Drain**: on shutdown the loop stops accepting, closes idle
 //!   connections, lets dispatched work and write-outs finish (bounded
-//!   by [`DRAIN_TIMEOUT`]), then stops the workers.
+//!   by `DRAIN_TIMEOUT` = 10 s), then stops the workers.
 
 #[cfg(target_os = "linux")]
 use crate::conn::{Conn, ParseStep, Phase};
@@ -452,8 +452,14 @@ mod imp {
         let (endpoint, reply) = match parsed {
             ParsedRequest::Http(req) => {
                 let endpoint = query::endpoint_of(&req.path);
-                let reply =
-                    query::dispatch_reply(ctx, &req.method, &req.path, &req.query, &req.body, scratch);
+                let reply = query::dispatch_reply(
+                    ctx,
+                    &req.method,
+                    &req.path,
+                    &req.query,
+                    &req.body,
+                    scratch,
+                );
                 (endpoint, reply)
             }
             ParsedRequest::Framed(req) => {
@@ -559,7 +565,11 @@ mod imp {
                         });
                         let conn = Conn::new(sock, epoch);
                         let fd = conn.sock.as_raw_fd();
-                        if self.epoll.add(fd, token_of(idx, epoch), sys::EPOLLIN).is_err() {
+                        if self
+                            .epoll
+                            .add(fd, token_of(idx, epoch), sys::EPOLLIN)
+                            .is_err()
+                        {
                             self.free.push(idx);
                             continue;
                         }
@@ -770,8 +780,7 @@ mod imp {
                 (conn.streaming, token_of(idx, conn.epoch))
             };
             if streaming {
-                let pending = self
-                    .slots[idx]
+                let pending = self.slots[idx]
                     .as_mut()
                     .and_then(|c| c.pending_stream.take());
                 match pending {
@@ -890,9 +899,7 @@ mod imp {
                     Phase::Reading => match conn.head_started {
                         // Wall-clock from first head byte: activity does
                         // NOT reset it — that is exactly the attack.
-                        Some(hs) if now.duration_since(hs) >= header => {
-                            Some(TimeoutCause::Header)
-                        }
+                        Some(hs) if now.duration_since(hs) >= header => Some(TimeoutCause::Header),
                         Some(_) => None,
                         None if now.duration_since(conn.last_activity) >= idle => {
                             Some(TimeoutCause::Idle)
@@ -901,9 +908,7 @@ mod imp {
                     },
                     // A stalled writer (including a slow stream reader)
                     // is bounded by write progress.
-                    Phase::Writing
-                        if now.duration_since(conn.last_activity) >= idle =>
-                    {
+                    Phase::Writing if now.duration_since(conn.last_activity) >= idle => {
                         Some(TimeoutCause::Idle)
                     }
                     // Dispatched work is bounded by the handler
@@ -947,7 +952,11 @@ mod imp {
 
     /// The reactor entry point: spawns the worker pool and runs the
     /// event loop on the calling thread until shutdown + drain.
-    pub fn run(listener: TcpListener, ctx: Arc<ServeCtx>, shutdown: ShutdownFlag) -> io::Result<()> {
+    pub fn run(
+        listener: TcpListener,
+        ctx: Arc<ServeCtx>,
+        shutdown: ShutdownFlag,
+    ) -> io::Result<()> {
         listener.set_nonblocking(true)?;
         let epoll = Epoll::new()?;
         let waker = Arc::new(EventFd::new()?);
@@ -1106,7 +1115,11 @@ mod imp {
 
             let mut framed = crate::Client::new(addr.to_string(), true);
             let (status, body) = framed
-                .request("POST", "/v1/relate?dataset=boxes", b"POLYGON((22 22, 28 22, 28 28, 22 28, 22 22))")
+                .request(
+                    "POST",
+                    "/v1/relate?dataset=boxes",
+                    b"POLYGON((22 22, 28 22, 28 28, 22 28, 22 22))",
+                )
                 .expect("relate");
             assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
             assert!(String::from_utf8_lossy(&body).contains("inside"));

@@ -1116,9 +1116,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
                 .retry_after()
                 .unwrap_or(1)
                 .clamp(1, MAX_RETRY_AFTER_SECS);
-            eprintln!(
-                "server shed the request (429); retry {attempts}/{MAX_RETRIES} in {wait}s"
-            );
+            eprintln!("server shed the request (429); retry {attempts}/{MAX_RETRIES} in {wait}s");
             std::thread::sleep(std::time::Duration::from_secs(wait));
             continue;
         }

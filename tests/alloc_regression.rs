@@ -9,7 +9,10 @@
 //! a warm-up pass has grown every scratch buffer to its high-water
 //! mark, re-running the full adversarial corpus through
 //! `relate_with` performs **zero** allocations — on one thread and on
-//! four concurrent threads (each with its own arena).
+//! four concurrent threads (each with its own arena). A third pass
+//! relates one 1,200-vertex park against every corpus polygon, so the
+//! scratch keeps the park prepared across calls: the path that reuses a
+//! prepared geometry after checking its edges must not allocate either.
 //!
 //! The corpus is `stj_datagen::adversarial` — the same constructions
 //! the differential check harness uses — so the guard covers shared
@@ -26,9 +29,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Barrier;
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use stjoin::datagen::adversarial::adversarial_pair;
+use stjoin::datagen::{star_polygon, StarParams};
 use stjoin::de9im::{relate_with, RelateScratch};
-use stjoin::Polygon;
+use stjoin::{Point, Polygon};
 
 /// Counts every allocator entry point on the calling thread. `realloc`
 /// and `alloc_zeroed` count too: a growing `Vec` re-entering the
@@ -159,6 +165,48 @@ fn steady_state_relate_is_allocation_free_four_threads() {
     assert_eq!(
         allocs, 0,
         "steady-state refinement allocated {allocs} times across {THREADS} threads"
+    );
+}
+
+/// Relates one park against every corpus polygon as `r`: a same-r run,
+/// like the pairs of one tile task that share their park.
+fn run_same_r(park: &Polygon, pairs: &[(Polygon, Polygon)], scratch: &mut RelateScratch) -> u64 {
+    let mut checksum = 0u64;
+    for b in pairs.iter().flat_map(|(a, b)| [a, b]) {
+        checksum = checksum
+            .wrapping_mul(31)
+            .wrapping_add(relate_with(park, b, scratch).bits() as u64);
+    }
+    checksum
+}
+
+#[test]
+fn steady_state_same_r_run_is_allocation_free() {
+    let pairs = corpus(0xA110C5);
+    let park = star_polygon(
+        &mut StdRng::seed_from_u64(5),
+        &StarParams {
+            center: Point::new(500.0, 500.0),
+            avg_radius: 300.0,
+            irregularity: 0.5,
+            spikiness: 0.35,
+            num_vertices: 1_200,
+        },
+    );
+    let mut scratch = RelateScratch::default();
+
+    let expect = run_same_r(&park, &pairs, &mut scratch);
+    let (got, allocs) = allocs_during(|| run_same_r(&park, &pairs, &mut scratch));
+
+    assert_eq!(
+        got, expect,
+        "reusing the prepared park changed relate results"
+    );
+    assert_eq!(
+        allocs,
+        0,
+        "steady-state same-r refinement allocated {allocs} times over {} pairs",
+        2 * pairs.len()
     );
 }
 

@@ -1018,15 +1018,24 @@ fn discover_matches_offline_join_ntriples() {
     }
     // A common extent so the offline join accepts the pair (the served
     // discover path rasterizes probes on the dataset's own grid).
-    for (wkt, bin, name) in [(&lakes_wkt, &lakes_bin, "lakes"), (&parks_wkt, &parks_bin, "parks")] {
+    for (wkt, bin, name) in [
+        (&lakes_wkt, &lakes_bin, "lakes"),
+        (&parks_wkt, &parks_bin, "parks"),
+    ] {
         let out = stj()
             .arg("preprocess")
             .arg(wkt)
             .arg(bin)
-            .args(["--order", "8", "--extent", "0", "0", "1000", "1000", "--name", name])
+            .args([
+                "--order", "8", "--extent", "0", "0", "1000", "1000", "--name", name,
+            ])
             .output()
             .expect("preprocess");
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
     }
 
     let sorted = |text: &str| -> Vec<String> {
@@ -1048,9 +1057,16 @@ fn discover_matches_offline_join_ntriples() {
         .arg(&links_nt)
         .output()
         .expect("join");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let join_lines = sorted(&std::fs::read_to_string(&links_nt).expect("links.nt"));
-    assert!(!join_lines.is_empty(), "join found no links — test is vacuous");
+    assert!(
+        !join_lines.is_empty(),
+        "join found no links — test is vacuous"
+    );
 
     // Offline discover: lakes WKT on stdin against the parks dataset.
     let out = stj()
@@ -1059,7 +1075,11 @@ fn discover_matches_offline_join_ntriples() {
         .stdin(std::fs::File::open(&lakes_wkt).expect("open lakes.wkt"))
         .output()
         .expect("discover");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let discover_lines = sorted(&String::from_utf8_lossy(&out.stdout));
     assert_eq!(
         discover_lines, join_lines,
@@ -1091,7 +1111,11 @@ fn discover_matches_offline_join_ntriples() {
         .stdin(std::fs::File::open(&lakes_wkt).expect("open lakes.wkt"))
         .output()
         .expect("query discover");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let served_lines = sorted(&String::from_utf8_lossy(&out.stdout));
     assert_eq!(
         served_lines, join_lines,

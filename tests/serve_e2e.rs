@@ -268,13 +268,19 @@ fn load_shedding_returns_429_when_queue_full() {
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("client")).collect()
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client"))
+            .collect()
     });
 
     let ok = outcomes.iter().filter(|(s, _)| *s == 200).count();
     let shed = outcomes.iter().filter(|(s, _)| *s == 429).count();
     assert!(ok >= 1, "no join succeeded: {outcomes:?}");
-    assert!(shed >= 1, "nothing was shed despite queue depth 1: {outcomes:?}");
+    assert!(
+        shed >= 1,
+        "nothing was shed despite queue depth 1: {outcomes:?}"
+    );
     for (status, retry_after) in &outcomes {
         if *status == 429 {
             assert_eq!(
@@ -481,7 +487,12 @@ fn hot_swap_under_load_is_seamless() {
     // Concurrent load across the swap; every response must be correct.
     let stop_load = AtomicBool::new(false);
     let expected: Vec<String> = (0..PAIRS as usize)
-        .map(|i| format!("\"relation\": \"{}\"", find_relation(l.object(i), r.object(i)).relation))
+        .map(|i| {
+            format!(
+                "\"relation\": \"{}\"",
+                find_relation(l.object(i), r.object(i)).relation
+            )
+        })
         .collect();
     std::thread::scope(|scope| {
         let mut loaders = Vec::new();
@@ -536,7 +547,10 @@ fn hot_swap_under_load_is_seamless() {
     let (status, stats) = admin.request("GET", "/stats", b"").expect("stats");
     assert_eq!(status, 200);
     let stats = String::from_utf8(stats).expect("utf8");
-    assert!(stats.contains("\"id\": 2"), "generation not bumped: {stats}");
+    assert!(
+        stats.contains("\"id\": 2"),
+        "generation not bumped: {stats}"
+    );
     assert!(
         stats.contains("\"invalidations\": 1"),
         "cache not invalidated: {stats}"
@@ -552,10 +566,7 @@ fn hot_swap_under_load_is_seamless() {
             let gen1 = gen1_dir.display().to_string();
             let gen2 = gen2_dir.display().to_string();
             if !maps.contains(&gen1) {
-                assert!(
-                    maps.contains(&gen2),
-                    "new generation not mapped: {maps}"
-                );
+                assert!(maps.contains(&gen2), "new generation not mapped: {maps}");
                 break;
             }
             assert!(
