@@ -37,20 +37,30 @@
 //! one-shot wrapper.
 //!
 //! The scratch also bounds the *work* of a pair by the part of it that
-//! can interact, not by the larger geometry:
+//! can interact, not by the larger geometry. For a building paired with a
+//! park, nothing below walks the park's whole boundary:
 //!
-//! - the sweep is windowed to `mbr(r) ∩ mbr(s)` (see
-//!   [`stj_geom::sweep`]), so a small building against a large park sorts
-//!   and scans only the park edges near the building;
-//! - `classify_boundary` settles an edge with no hits — one sub-edge,
-//!   midpoint `edge.at(0.5)` — as exterior straight away when that
-//!   midpoint is off the other geometry's MBR, without noding it;
+//! - the sweep takes its window `mbr(r) ∩ mbr(s)` from the prepared
+//!   locators' strip indexes (see [`stj_geom::sweep`]), so it visits the
+//!   park strips around the building, and sorts and scans only the park
+//!   edges whose MBR meets the window;
+//! - `classify_boundary` walks only those windowed edges. Every edge left
+//!   out of the window has an MBR that misses the window, hence misses
+//!   the other geometry's MBR (its own lies inside its geometry's MBR).
+//!   Such an edge has no hits, so it is one sub-edge with midpoint
+//!   `at(0.5)`, which lies inside the edge's MBR (rounding is monotone)
+//!   and so outside the other geometry's MBR: `Outside`, by `locate`'s
+//!   first test. One left-out edge therefore sets "boundary meets
+//!   exterior", and the left-out edges can set nothing else;
 //! - the two [`Prepared`] slots keep their point-location index across
 //!   calls and rebuild it only when the incoming geometry's edges differ
 //!   bit for bit from the prepared ones, so a run of pairs sharing the
 //!   park prepares the park once. The check is by content, not address:
 //!   serve workers keep one scratch across requests and reloads, where a
-//!   new probe or a remapped arena can land at an old address.
+//!   new probe or a remapped arena can land at an old address. It streams
+//!   the geometry's rings against the prepared edges without copying
+//!   them; this `O(n)` comparison is the one part of a pair that still
+//!   scales with the park.
 //!
 //! Each step yields exactly the matrix the unwindowed, unprepared path
 //! does.
@@ -60,7 +70,7 @@ use stj_geom::locator::EdgeSetLocator;
 use stj_geom::multipolygon::Areal;
 use stj_geom::polygon::Location;
 use stj_geom::seg_intersect::SegSegIntersection;
-use stj_geom::sweep::{boundary_pairs_into, EdgePairHit, SweepScratch};
+use stj_geom::sweep::{located_boundary_pairs_into, EdgePairHit, SweepScratch};
 use stj_geom::{InteriorScratch, Point, Rect, Segment};
 
 /// A geometry preprocessed for repeated `relate` calls: boundary edges,
@@ -69,12 +79,11 @@ use stj_geom::{InteriorScratch, Point, Rect, Segment};
 /// The edge list lives inside the locator; [`Prepared::prepare`] rebuilds
 /// everything in place so one `Prepared` can be recycled across
 /// geometries without allocating, and skips the locator rebuild when the
-/// incoming geometry's edges are bit-identical to the ones it holds.
+/// incoming geometry's edges are bit-identical to the ones it holds. The
+/// locator's strip index serves point location and the sweep's window
+/// query alike.
 pub struct Prepared {
     locator: EdgeSetLocator,
-    /// Landing buffer for the incoming geometry's edges; copied into the
-    /// locator when they differ from the prepared ones.
-    incoming: Vec<Segment>,
     interior_points: Vec<Point>,
     mbr: Rect,
     num_vertices: usize,
@@ -93,7 +102,6 @@ impl Prepared {
     pub fn empty() -> Prepared {
         Prepared {
             locator: EdgeSetLocator::empty(),
-            incoming: Vec::new(),
             interior_points: Vec::new(),
             mbr: Rect::empty(),
             num_vertices: 0,
@@ -108,15 +116,13 @@ impl Prepared {
     /// side — the locator index is kept as it is. Reuse is decided by
     /// content, never by address: a geometry mutated in place, or a new
     /// one allocated where an old one lived, still gets a fresh index.
+    /// The comparison streams `g`'s rings against the prepared edges
+    /// ([`Areal::same_edges`]) and stops at the first difference; only a
+    /// mismatch collects `g`'s edges, straight into the locator.
     pub fn prepare<G: Areal + ?Sized>(&mut self, g: &G, interior: &mut InteriorScratch) {
         let _site = stj_obs::alloc::enter(stj_obs::AllocSite::Noding);
-        let incoming = &mut self.incoming;
-        incoming.clear();
-        g.collect_edges(incoming);
-        if !same_bits(incoming, self.locator.edges()) {
-            // Copied rather than swapped: each buffer then ratchets to
-            // the largest edge set seen, whatever order geometries come in.
-            self.locator.rebuild(|out| out.extend_from_slice(incoming));
+        if !g.same_edges(self.locator.edges()) {
+            self.locator.rebuild(|out| g.collect_edges(out));
         }
         self.interior_points.clear();
         g.collect_interior_points(interior, &mut self.interior_points);
@@ -147,13 +153,6 @@ impl Prepared {
     pub fn locate(&self, p: Point) -> Location {
         self.locator.locate(p)
     }
-}
-
-/// Whether two edge sequences are identical bit for bit (so `-0.0` and
-/// `0.0` differ, which only costs a rebuild).
-fn same_bits(a: &[Segment], b: &[Segment]) -> bool {
-    let bits = |s: &Segment| [s.a.x, s.a.y, s.b.x, s.b.y].map(f64::to_bits);
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| bits(x) == bits(y))
 }
 
 /// Reusable working memory for [`relate_with`]: two recyclable
@@ -231,12 +230,8 @@ fn relate_prepared_into(
         return De9Im::DISJOINT;
     }
 
-    boundary_pairs_into(
-        r.edges(),
-        s.edges(),
-        /*stop_on_proper=*/ true,
-        sweep,
-        hits,
+    located_boundary_pairs_into(
+        &r.locator, &s.locator, /*stop_on_proper=*/ true, sweep, hits,
     );
     if matches!(
         hits.last(),
@@ -249,9 +244,10 @@ fn relate_prepared_into(
         return De9Im::ALL_TRUE;
     }
 
-    // Classify r's boundary sub-edges against s and vice versa.
-    let r_flags = classify_boundary(r.edges(), hits, HitSide::First, s, classify);
-    let s_flags = classify_boundary(s.edges(), hits, HitSide::Second, r, classify);
+    // Classify r's boundary sub-edges against s and vice versa, walking
+    // only the edges the sweep windowed.
+    let r_flags = classify_boundary(r, sweep, hits, HitSide::First, s, classify);
+    let s_flags = classify_boundary(s, sweep, hits, HitSide::Second, r, classify);
 
     let boundaries_touch = !hits.is_empty();
     debug_assert!(
@@ -319,13 +315,14 @@ struct BoundaryFlags {
     on_boundary: bool,
 }
 
-/// Reusable buffers for [`classify_boundary`]: a CSR per-edge grouping of
-/// the hit list plus the per-edge parameter vectors.
+/// Reusable buffers for [`classify_boundary`]: a CSR per-windowed-edge
+/// grouping of the hit list plus the per-edge parameter vectors.
 #[derive(Debug, Default)]
 struct ClassifyScratch {
-    /// CSR offsets: edge `i`'s hits are `hit_idx[offs[i]..offs[i + 1]]`.
+    /// CSR offsets: windowed edge `w`'s hits are
+    /// `hit_idx[offs[w]..offs[w + 1]]`.
     offs: Vec<u32>,
-    /// Indices into the hit list, grouped by our-side edge index.
+    /// Indices into the hit list, grouped by our-side windowed edge.
     hit_idx: Vec<u32>,
     /// Split parameters of the edge under classification.
     ts: Vec<f64>,
@@ -333,60 +330,72 @@ struct ClassifyScratch {
     on_ranges: Vec<(f64, f64)>,
 }
 
-/// Splits every edge at its recorded intersection points and classifies
-/// each sub-edge midpoint against `other`. Sub-edges falling inside a
-/// collinear-overlap range are classified as on-boundary directly (their
-/// midpoints are only floating-point-close to the other boundary).
+/// Splits every windowed edge of `ours` at its recorded intersection
+/// points and classifies each sub-edge midpoint against `other`. Sub-edges
+/// falling inside a collinear-overlap range are classified as on-boundary
+/// directly (their midpoints are only floating-point-close to the other
+/// boundary).
+///
+/// Only the edges of `ours` that the sweep windowed are visited. An edge
+/// left out of the window lies off `other`'s MBR, has no hits, and is
+/// classified exterior without being visited (see the module docs).
 fn classify_boundary(
-    edges: &[Segment],
+    ours: &Prepared,
+    sweep: &SweepScratch,
     hits: &[EdgePairHit],
     side: HitSide,
     other: &Prepared,
     scratch: &mut ClassifyScratch,
 ) -> BoundaryFlags {
     let _site = stj_obs::alloc::enter(stj_obs::AllocSite::SubEdge);
-    let our_edge = |h: &EdgePairHit| match side {
-        HitSide::First => h.ia,
-        HitSide::Second => h.ib,
+    let (a_window, b_window) = sweep.windowed();
+    let window = match side {
+        HitSide::First => a_window,
+        HitSide::Second => b_window,
+    };
+    let pos = |p: &(u32, u32)| match side {
+        HitSide::First => p.0 as usize,
+        HitSide::Second => p.1 as usize,
     };
 
-    // Group hits by edge index on our side, CSR-style in the retained
+    // Group hits by our-side windowed edge, CSR-style in the retained
     // buffers: count per edge, prefix-sum to start offsets, scatter with
-    // the offsets as cursors, shift the cursors back to starts.
+    // the offsets as cursors, shift the cursors back to starts. Sized by
+    // the window, not the boundary.
     let offs = &mut scratch.offs;
     offs.clear();
-    offs.resize(edges.len() + 1, 0);
-    for h in hits {
-        offs[our_edge(h) + 1] += 1;
+    offs.resize(window.len() + 1, 0);
+    for p in sweep.hit_positions() {
+        offs[pos(p) + 1] += 1;
     }
-    for i in 0..edges.len() {
-        offs[i + 1] += offs[i];
+    for w in 0..window.len() {
+        offs[w + 1] += offs[w];
     }
     scratch.hit_idx.clear();
     scratch.hit_idx.resize(hits.len(), 0);
-    // Scattering in hit order keeps each edge's hits in hit-list order,
-    // matching the old per-edge push construction.
-    for (k, h) in hits.iter().enumerate() {
-        let e = our_edge(h);
-        scratch.hit_idx[offs[e] as usize] = k as u32;
-        offs[e] += 1;
+    // Scattering in hit order keeps each edge's hits in hit-list order.
+    for (k, p) in sweep.hit_positions().iter().enumerate() {
+        let w = pos(p);
+        scratch.hit_idx[offs[w] as usize] = k as u32;
+        offs[w] += 1;
     }
-    for i in (1..=edges.len()).rev() {
-        offs[i] = offs[i - 1];
+    for w in (1..=window.len()).rev() {
+        offs[w] = offs[w - 1];
     }
-    if !offs.is_empty() {
-        offs[0] = 0;
-    }
+    offs[0] = 0;
 
-    let mut flags = BoundaryFlags::default();
+    let mut flags = BoundaryFlags {
+        in_exterior: window.len() < ours.edges().len(),
+        ..BoundaryFlags::default()
+    };
     let ts = &mut scratch.ts;
     let on_ranges = &mut scratch.on_ranges;
 
-    for (i, edge) in edges.iter().enumerate() {
+    for (w, (_, edge)) in window.iter().enumerate() {
         if flags.in_interior && flags.in_exterior && flags.on_boundary {
             break; // all information gathered
         }
-        let (lo, hi) = (offs[i] as usize, offs[i + 1] as usize);
+        let (lo, hi) = (offs[w] as usize, offs[w + 1] as usize);
         if lo == hi && !other.locator.mbr().contains_point(edge.at(0.5)) {
             // An unhit edge is one sub-edge with midpoint `at(0.5)`; off
             // the other's MBR that midpoint is `Outside`, which is the

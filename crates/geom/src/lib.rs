@@ -49,6 +49,8 @@ pub use predicates::{orient2d, Orientation};
 pub use rect::Rect;
 pub use seg_intersect::{intersect_segments, SegSegIntersection};
 pub use segment::Segment;
-pub use sweep::{boundary_pairs, boundary_pairs_into, EdgePairHit, SweepScratch};
+pub use sweep::{
+    boundary_pairs, boundary_pairs_into, located_boundary_pairs_into, EdgePairHit, SweepScratch,
+};
 pub use validate::{validate_polygon, validate_ring, ValidityError};
 pub use view::{GeomRef, PolyView};

@@ -15,6 +15,12 @@
 //! instead of `n_strips + 1`, and a [`EdgeSetLocator::rebuild`] that
 //! re-indexes a new edge set entirely inside the retained buffers, which
 //! is what lets a relate scratch arena reuse one locator across calls.
+//!
+//! The same strips also answer window queries:
+//! [`EdgeSetLocator::window_edges_into`] lists the edges whose MBR meets
+//! a rectangle by visiting only the strips the rectangle's y-range
+//! covers, so DE-9IM refinement of a small geometry against a large one
+//! touches the large boundary near the small one and nowhere else.
 
 use crate::point::Point;
 use crate::polygon::Location;
@@ -80,9 +86,7 @@ impl EdgeSetLocator {
         self.inv_dy = 1.0 / dy;
         self.y0 = self.mbr.min.y;
         let (y0, inv_dy) = (self.y0, self.inv_dy);
-        let strip_of = |y: f64| -> usize {
-            (((y - y0) * inv_dy) as isize).clamp(0, n_strips as isize - 1) as usize
-        };
+        let strip_of = |y: f64| strip_index(y, y0, inv_dy, n_strips);
 
         if self.edges.is_empty() {
             self.strip_offs.clear();
@@ -139,15 +143,51 @@ impl EdgeSetLocator {
         &self.edges
     }
 
+    /// The strip holding height `y`, clamped to the index. Only valid on
+    /// an indexed locator (at least one strip).
+    #[inline]
+    fn strip_of(&self, y: f64) -> usize {
+        strip_index(y, self.y0, self.inv_dy, self.strip_offs.len() - 1)
+    }
+
+    /// Appends `(index, edge)` for every edge whose closed MBR meets
+    /// `window`, each edge once, visiting only the strips that the
+    /// window's y-range covers.
+    ///
+    /// Exact: an edge whose y-span meets the window's shares a height
+    /// with it, and `strip_of` is monotone, so the edge sits in one of
+    /// the visited strips. An edge spanning several visited strips is
+    /// emitted from the first of them only. The order is strip order;
+    /// callers that need another order sort the (few) edges returned.
+    pub fn window_edges_into(&self, window: &Rect, out: &mut Vec<(usize, Segment)>) {
+        if self.edges.is_empty() {
+            return;
+        }
+        let (lo, hi) = (self.strip_of(window.min.y), self.strip_of(window.max.y));
+        for s in lo..=hi {
+            let strip =
+                &self.strip_edges[self.strip_offs[s] as usize..self.strip_offs[s + 1] as usize];
+            for &ei in strip {
+                let e = self.edges[ei as usize];
+                // In strip `lo` every edge is new; in a later strip only
+                // an edge that starts there is, the others were emitted.
+                if s > lo && self.strip_of(e.a.y.min(e.b.y)) != s {
+                    continue;
+                }
+                if e.mbr().intersects(window) {
+                    out.push((ei as usize, e));
+                }
+            }
+        }
+    }
+
     /// Exact even–odd location of `p` relative to the region bounded by
     /// the edge set.
     pub fn locate(&self, p: Point) -> Location {
         if !self.mbr.contains_point(p) {
             return Location::Outside;
         }
-        let n_strips = self.strip_offs.len() - 1;
-        let si =
-            (((p.y - self.y0) * self.inv_dy) as isize).clamp(0, n_strips as isize - 1) as usize;
+        let si = self.strip_of(p.y);
         let mut inside = false;
         let (lo, hi) = (
             self.strip_offs[si] as usize,
@@ -175,6 +215,14 @@ impl EdgeSetLocator {
             Location::Outside
         }
     }
+}
+
+/// The strip of `n_strips` (starting at `y0`, `1 / inv_dy` high) that
+/// holds height `y`, clamped to the index. Indexing, point location and
+/// window queries share it, so they agree on every edge's strips.
+#[inline]
+fn strip_index(y: f64, y0: f64, inv_dy: f64, n_strips: usize) -> usize {
+    (((y - y0) * inv_dy) as isize).clamp(0, n_strips as isize - 1) as usize
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@ use crate::rect::Rect;
 use crate::segment::Segment;
 
 /// Behaviour required of an areal geometry by the topology algorithms:
-/// boundary edge enumeration, exact point location, and one representative
+/// boundary ring enumeration, exact point location, and one representative
 /// interior point per connected interior component.
 ///
 /// Implemented by [`Polygon`] (one component) and [`MultiPolygon`] (one
@@ -17,8 +17,42 @@ use crate::segment::Segment;
 pub trait Areal {
     /// The geometry's MBR.
     fn mbr(&self) -> Rect;
+    /// Calls `f` with the vertices of every boundary ring (every ring of
+    /// every component), unclosed, in edge order: ring `v` has the edges
+    /// `v[k] → v[(k + 1) % v.len()]`.
+    fn for_each_ring(&self, f: &mut dyn FnMut(&[Point]));
     /// All boundary edges (every ring of every component).
-    fn collect_edges(&self, out: &mut Vec<Segment>);
+    fn collect_edges(&self, out: &mut Vec<Segment>) {
+        self.for_each_ring(&mut |v| {
+            let n = v.len();
+            out.extend((0..n).map(|k| Segment::new(v[k], v[(k + 1) % n])));
+        });
+    }
+    /// Whether `edges` is exactly [`collect_edges`](Self::collect_edges)'s
+    /// output, bit for bit (so `-0.0` and `0.0` differ), compared ring by
+    /// ring as the rings stream past without materializing any edge.
+    fn same_edges(&self, edges: &[Segment]) -> bool {
+        let same_point =
+            |p: Point, q: Point| p.x.to_bits() == q.x.to_bits() && p.y.to_bits() == q.y.to_bits();
+        let mut rest = edges;
+        let mut same = true;
+        self.for_each_ring(&mut |v| {
+            if !same {
+                return;
+            }
+            let Some((run, tail)) = rest.split_at_checked(v.len()) else {
+                same = false;
+                return;
+            };
+            rest = tail;
+            let next = v.iter().skip(1).chain(v.first());
+            same = run
+                .iter()
+                .zip(v.iter().zip(next))
+                .all(|(e, (&a, &b))| same_point(e.a, a) && same_point(e.b, b));
+        });
+        same && rest.is_empty()
+    }
     /// Exact location of `p` (interior / boundary / exterior).
     fn locate(&self, p: Point) -> Location;
     /// Appends one strictly-interior point per connected interior
@@ -41,8 +75,11 @@ impl Areal for Polygon {
         *Polygon::mbr(self)
     }
 
-    fn collect_edges(&self, out: &mut Vec<Segment>) {
-        out.extend(self.edges());
+    fn for_each_ring(&self, f: &mut dyn FnMut(&[Point])) {
+        f(self.outer().vertices());
+        for h in self.holes() {
+            f(h.vertices());
+        }
     }
 
     fn locate(&self, p: Point) -> Location {
@@ -109,9 +146,9 @@ impl Areal for MultiPolygon {
         self.mbr
     }
 
-    fn collect_edges(&self, out: &mut Vec<Segment>) {
+    fn for_each_ring(&self, f: &mut dyn FnMut(&[Point])) {
         for m in &self.members {
-            out.extend(m.edges());
+            m.for_each_ring(f);
         }
     }
 

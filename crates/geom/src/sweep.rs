@@ -10,20 +10,32 @@
 //! The sweep is **windowed**: two closed edges can only meet at a point
 //! inside both boundaries' MBRs, so only edges whose MBR meets the window
 //! `mbr(A) ∩ mbr(B)` enter the sort and the scan. The dropped edges could
-//! never emit a hit, and the kept ones keep their relative order, so the
-//! hit list — contents *and* order, `stop_on_proper` included — is the
-//! one the unwindowed sweep would produce. For boundaries with `n` total
-//! edges, `w` of them in the window and `k` box-overlapping pairs, the
-//! cost is `O(n + w log w + k)`: a tiny building against a 1,400-edge
-//! park sorts only the handful of park edges near the building, not the
-//! whole park.
+//! never emit a hit, and the kept ones are sorted by `(xmin, index)`, a
+//! total order, so the hit list — contents *and* order, `stop_on_proper`
+//! included — is the one the unwindowed sweep would produce.
+//!
+//! Two front ends feed one shared scan:
+//!
+//! - [`boundary_pairs`] / [`boundary_pairs_into`] take plain edge slices
+//!   and filter them in one pass, `O(n + w log w + k)` for `n` edges in
+//!   total, `w` of them in the window and `k` box-overlapping pairs;
+//! - [`located_boundary_pairs_into`] takes two [`EdgeSetLocator`]s and
+//!   asks their strip indexes for the window's edges
+//!   ([`EdgeSetLocator::window_edges_into`]), so the cost is per window:
+//!   the strips the window covers, plus `O(w log w + k)`. A tiny
+//!   building against a 1,400-edge park visits the few park strips
+//!   around the building and never the park's far edges.
 //!
 //! The sweep needs two sorted event lists plus the output hit list. On
 //! the relate hot path these live in a caller-owned [`SweepScratch`] and
-//! output vector handed to [`boundary_pairs_into`], so a warmed scratch
-//! runs the sweep without allocating; [`boundary_pairs`] remains as the
-//! allocating convenience wrapper.
+//! output vector, so a warmed scratch runs the sweep without allocating.
+//! The scratch keeps the windowed lists after the sweep
+//! ([`SweepScratch::windowed`]) and each hit's positions in them
+//! ([`SweepScratch::hit_positions`]); DE-9IM classification walks the
+//! windowed edges and groups their hits without touching the rest of
+//! either boundary.
 
+use crate::locator::EdgeSetLocator;
 use crate::rect::Rect;
 use crate::seg_intersect::{intersect_segments, SegSegIntersection};
 use crate::segment::Segment;
@@ -40,12 +52,41 @@ pub struct EdgePairHit {
     pub kind: SegSegIntersection,
 }
 
-/// Reusable event lists for [`boundary_pairs_into`]. `clear()`-and-reuse:
-/// each sweep empties the lists but keeps their capacity.
+/// An edge with its index in the edge list it came from.
+pub type IndexedEdge = (usize, Segment);
+
+/// Reusable event lists for the sweep. `clear()`-and-reuse: each sweep
+/// empties the lists but keeps their capacity.
 #[derive(Debug, Default)]
 pub struct SweepScratch {
-    a_sorted: Vec<(usize, Segment)>,
-    b_sorted: Vec<(usize, Segment)>,
+    a_sorted: Vec<IndexedEdge>,
+    b_sorted: Vec<IndexedEdge>,
+    /// Per hit, the positions of its two edges in the sorted lists.
+    hit_pos: Vec<(u32, u32)>,
+}
+
+impl SweepScratch {
+    /// The `(index, edge)` lists of A and B that entered the last sweep:
+    /// every edge whose MBR meets the window, sorted by `(xmin, index)`.
+    /// Both are complete even when `stop_on_proper` cut the scan short,
+    /// and both are empty when the window was.
+    pub fn windowed(&self) -> (&[IndexedEdge], &[IndexedEdge]) {
+        (&self.a_sorted, &self.b_sorted)
+    }
+
+    /// For each hit of the last sweep, in hit order, the positions of its
+    /// A and B edge in the [`windowed`](Self::windowed) lists: lets a
+    /// caller group hits per windowed edge in `O(w + k)`, with no array
+    /// the size of the whole boundary.
+    pub fn hit_positions(&self) -> &[(u32, u32)] {
+        &self.hit_pos
+    }
+
+    fn clear(&mut self) {
+        self.a_sorted.clear();
+        self.b_sorted.clear();
+        self.hit_pos.clear();
+    }
 }
 
 /// Reports every intersecting pair of edges between the two edge lists,
@@ -71,8 +112,7 @@ pub fn boundary_pairs(
 }
 
 /// [`boundary_pairs`] into caller-owned buffers: `hits` is cleared and
-/// filled, `scratch` holds the sweep's sorted event lists. The hot-path
-/// entry used by the relate scratch arena.
+/// filled, `scratch` holds the sweep's sorted event lists.
 pub fn boundary_pairs_into(
     a_edges: &[Segment],
     b_edges: &[Segment],
@@ -81,11 +121,7 @@ pub fn boundary_pairs_into(
     hits: &mut Vec<EdgePairHit>,
 ) {
     hits.clear();
-    let a_sorted = &mut scratch.a_sorted;
-    let b_sorted = &mut scratch.b_sorted;
-
-    // Every hit lies in both edges' MBRs, hence in the window; an edge
-    // whose MBR misses it can never emit, so it never enters the sweep.
+    scratch.clear();
     let mbr = |edges: &[Segment]| {
         let mut mbr = Rect::empty();
         for e in edges {
@@ -96,33 +132,68 @@ pub fn boundary_pairs_into(
     let Some(window) = mbr(a_edges).intersection(&mbr(b_edges)) else {
         return;
     };
-    let in_window = |&(_, s): &(usize, Segment)| s.mbr().intersects(&window);
-
-    // Index + sort both windowed lists by MBR xmin.
+    let in_window = |&(_, s): &IndexedEdge| s.mbr().intersects(&window);
     {
         let _site = stj_obs::alloc::enter(stj_obs::AllocSite::SweepEvents);
-        a_sorted.clear();
-        a_sorted.extend(a_edges.iter().copied().enumerate().filter(in_window));
-        b_sorted.clear();
-        b_sorted.extend(b_edges.iter().copied().enumerate().filter(in_window));
+        let windowed = |edges: &[Segment], out: &mut Vec<IndexedEdge>| {
+            out.extend(edges.iter().copied().enumerate().filter(in_window));
+        };
+        windowed(a_edges, &mut scratch.a_sorted);
+        windowed(b_edges, &mut scratch.b_sorted);
     }
+    scan(scratch, stop_on_proper, hits);
+}
+
+/// [`boundary_pairs_into`] over the edges of two locators, with the window
+/// answered by their strip indexes instead of a pass over every edge.
+/// Returns the same `hits`, in the same order, as [`boundary_pairs_into`]
+/// on `a.edges()` and `b.edges()`: both gather the same windowed edges
+/// (the locator's MBR is the edges' MBR, grown in the same order) and the
+/// scan sorts them into the same total order.
+pub fn located_boundary_pairs_into(
+    a: &EdgeSetLocator,
+    b: &EdgeSetLocator,
+    stop_on_proper: bool,
+    scratch: &mut SweepScratch,
+    hits: &mut Vec<EdgePairHit>,
+) {
+    hits.clear();
+    scratch.clear();
+    let Some(window) = a.mbr().intersection(b.mbr()) else {
+        return;
+    };
+    {
+        let _site = stj_obs::alloc::enter(stj_obs::AllocSite::SweepEvents);
+        a.window_edges_into(&window, &mut scratch.a_sorted);
+        b.window_edges_into(&window, &mut scratch.b_sorted);
+    }
+    scan(scratch, stop_on_proper, hits);
+}
+
+/// Sorts both windowed lists by `(xmin, index)` and reports every
+/// intersecting pair between them: a forward scan over MBR x-ranges, with
+/// the exact segment test on box-overlapping pairs.
+fn scan(scratch: &mut SweepScratch, stop_on_proper: bool, hits: &mut Vec<EdgePairHit>) {
+    let SweepScratch {
+        a_sorted,
+        b_sorted,
+        hit_pos,
+    } = scratch;
     let xmin = |s: &Segment| s.a.x.min(s.b.x);
     // Unstable sort with the original index as tie-break: reproduces the
-    // stable order exactly without a stable sort's temp-buffer allocation.
-    a_sorted.sort_unstable_by(|l, r| {
+    // stable order exactly without a stable sort's temp-buffer allocation,
+    // and makes the order independent of the order edges were gathered in.
+    let by_xmin = |l: &IndexedEdge, r: &IndexedEdge| {
         xmin(&l.1)
             .partial_cmp(&xmin(&r.1))
             .expect("finite")
             .then(l.0.cmp(&r.0))
-    });
-    b_sorted.sort_unstable_by(|l, r| {
-        xmin(&l.1)
-            .partial_cmp(&xmin(&r.1))
-            .expect("finite")
-            .then(l.0.cmp(&r.0))
-    });
+    };
+    a_sorted.sort_unstable_by(by_xmin);
+    b_sorted.sort_unstable_by(by_xmin);
 
-    // Growth of `hits` during the scan is the intersection-list site.
+    // Growth of `hits` and `hit_pos` during the scan is the
+    // intersection-list site.
     let _site = stj_obs::alloc::enter(stj_obs::AllocSite::IntersectionList);
     let mut i = 0;
     let mut j = 0;
@@ -133,7 +204,7 @@ pub fn boundary_pairs_into(
             // Scan forward in B while B's xmin is within A[i]'s x-range.
             let (ia, sa) = a_sorted[i];
             let a_mbr = sa.mbr();
-            for &(ib, sb) in b_sorted[j..].iter() {
+            for (jb, &(ib, sb)) in (j..).zip(&b_sorted[j..]) {
                 if xmin(&sb) > a_mbr.max.x {
                     break;
                 }
@@ -142,6 +213,7 @@ pub fn boundary_pairs_into(
                     if kind.is_some() {
                         let proper = matches!(kind, SegSegIntersection::Proper(_));
                         hits.push(EdgePairHit { ia, ib, kind });
+                        hit_pos.push((i as u32, jb as u32));
                         if proper && stop_on_proper {
                             return;
                         }
@@ -153,7 +225,7 @@ pub fn boundary_pairs_into(
             // Symmetric: scan forward in A for B[j].
             let (ib, sb) = b_sorted[j];
             let b_mbr = sb.mbr();
-            for &(ia, sa) in a_sorted[i..].iter() {
+            for (ja, &(ia, sa)) in (i..).zip(&a_sorted[i..]) {
                 if xmin(&sa) > b_mbr.max.x {
                     break;
                 }
@@ -162,6 +234,7 @@ pub fn boundary_pairs_into(
                     if kind.is_some() {
                         let proper = matches!(kind, SegSegIntersection::Proper(_));
                         hits.push(EdgePairHit { ia, ib, kind });
+                        hit_pos.push((ja as u32, j as u32));
                         if proper && stop_on_proper {
                             return;
                         }

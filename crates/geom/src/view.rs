@@ -12,7 +12,6 @@ use crate::multipolygon::Areal;
 use crate::point::Point;
 use crate::polygon::{locate_in_ring, Location, Polygon};
 use crate::rect::Rect;
-use crate::segment::Segment;
 
 /// A borrowed polygon: ring vertex slices carved out of a shared vertex
 /// pool by a ring-offset table.
@@ -120,11 +119,9 @@ impl Areal for PolyView<'_> {
         self.mbr
     }
 
-    fn collect_edges(&self, out: &mut Vec<Segment>) {
+    fn for_each_ring(&self, f: &mut dyn FnMut(&[Point])) {
         for i in 0..self.num_rings() {
-            let ring = self.ring(i);
-            let n = ring.len();
-            out.extend((0..n).map(|k| Segment::new(ring[k], ring[(k + 1) % n])));
+            f(self.ring(i));
         }
     }
 
@@ -166,10 +163,10 @@ impl Areal for GeomRef<'_> {
         }
     }
 
-    fn collect_edges(&self, out: &mut Vec<Segment>) {
+    fn for_each_ring(&self, f: &mut dyn FnMut(&[Point])) {
         match self {
-            GeomRef::Poly(p) => out.extend(p.edges()),
-            GeomRef::View(v) => v.collect_edges(out),
+            GeomRef::Poly(p) => p.for_each_ring(f),
+            GeomRef::View(v) => v.for_each_ring(f),
         }
     }
 

@@ -9,6 +9,12 @@
 //! leaf cells become partial (`C`-only) cells. Total work is proportional
 //! to the boundary's cell footprint, not the polygon's area.
 //!
+//! The edges meeting each block sit on one retained stack. While a block
+//! still contains the boundary's whole MBR its children inherit the list
+//! unfiltered (every edge lies inside them), and a child off both the
+//! boundary's and the polygon's MBR is skipped outright; the contact test
+//! itself is the separating-axis theorem (see `segment_intersects_rect`).
+//!
 //! Cell semantics (exact, decided with the robust kernel):
 //!
 //! - **partial** — the closed cell rectangle intersects the polygon
@@ -25,28 +31,33 @@
 use crate::grid::Grid;
 use crate::hilbert::block_range;
 use crate::intervals::IntervalList;
+use std::ops::Range;
 use stj_geom::predicates::{orient2d, Orientation};
-use stj_geom::seg_intersect::intersect_segments;
 use stj_geom::{Point, Polygon, Rect, Segment};
 
 /// Rasterizes `poly` on `grid`, returning `(P, C)` interval lists.
 pub fn rasterize(poly: &Polygon, grid: &Grid) -> (IntervalList, IntervalList) {
     let edges: Vec<Segment> = poly.edges().collect();
     let crossings = RowCrossings::build(&edges, grid);
+    let mut edges_mbr = Rect::empty();
+    for e in &edges {
+        edges_mbr.grow_rect(&e.mbr());
+    }
 
     let mut out = Emit {
         p_ranges: Vec::new(),
         c_ranges: Vec::new(),
     };
-    let all: Vec<u32> = (0..edges.len() as u32).collect();
     let mut ctx = Ctx {
         grid,
         edges: &edges,
+        edges_mbr,
         poly_mbr: *poly.mbr(),
         crossings: &crossings,
+        active: (0..edges.len() as u32).collect(),
         out: &mut out,
     };
-    descend(&mut ctx, 0, 0, grid.order(), &all);
+    descend(&mut ctx, 0, 0, grid.order(), 0..edges.len());
 
     (
         IntervalList::from_ranges(out.p_ranges),
@@ -62,14 +73,21 @@ struct Emit {
 struct Ctx<'a> {
     grid: &'a Grid,
     edges: &'a [Segment],
+    /// MBR of `edges` (every ring, holes included).
+    edges_mbr: Rect,
     poly_mbr: Rect,
     crossings: &'a RowCrossings,
+    /// Stack of active edge indices: each block's active edges are one
+    /// range of it, and a child's filtered list is pushed on top and
+    /// truncated away after the child is done.
+    active: Vec<u32>,
     out: &'a mut Emit,
 }
 
 /// Recursively classifies the aligned block at `(col0, row0)` with side
-/// `2^level`; `active` lists the indices of edges intersecting the block.
-fn descend(ctx: &mut Ctx<'_>, col0: u32, row0: u32, level: u32, active: &[u32]) {
+/// `2^level`; `ctx.active[active]` lists the indices of edges
+/// intersecting the block.
+fn descend(ctx: &mut Ctx<'_>, col0: u32, row0: u32, level: u32, active: Range<usize>) {
     if active.is_empty() {
         // Uniform block: no boundary inside it, so one parity query at the
         // block's center cell classifies every cell.
@@ -105,16 +123,40 @@ fn descend(ctx: &mut Ctx<'_>, col0: u32, row0: u32, level: u32, active: &[u32]) 
     ];
     for (cc, cr) in children {
         let rect = ctx.grid.block_rect(cc, cr, level - 1);
-        let child_active: Vec<u32> = active
-            .iter()
-            .copied()
-            .filter(|&ei| segment_intersects_rect(&ctx.edges[ei as usize], &rect))
-            .collect();
-        descend(ctx, cc, cr, level - 1, &child_active);
+        if rect.contains_rect(&ctx.edges_mbr) {
+            // Every edge lies inside the block, so every active edge
+            // meets it: the filter would keep them all.
+            descend(ctx, cc, cr, level - 1, active.clone());
+            continue;
+        }
+        if !rect.intersects(&ctx.edges_mbr) && !rect.intersects(&ctx.poly_mbr) {
+            // No edge meets the block and none of it can be interior:
+            // the child would find no active edge and emit nothing.
+            continue;
+        }
+        let start = ctx.active.len();
+        for k in active.clone() {
+            let ei = ctx.active[k];
+            if segment_intersects_rect(&ctx.edges[ei as usize], &rect) {
+                ctx.active.push(ei);
+            }
+        }
+        let end = ctx.active.len();
+        descend(ctx, cc, cr, level - 1, start..end);
+        ctx.active.truncate(start);
     }
 }
 
 /// Exact closed segment–rectangle intersection test.
+///
+/// Both shapes are closed and convex, so by the separating-axis theorem
+/// they are disjoint iff their projections are disjoint on one of the
+/// candidate axes: the rectangle's two edge normals (x and y) and the
+/// segment's normal. The closed MBR test decides the x and y axes
+/// exactly; the corner orientation test decides the segment's normal
+/// exactly (all four corners strictly on one side of the segment's line
+/// means disjoint projections). When neither separates, the shapes meet,
+/// and no segment–rectangle-edge intersection test is needed.
 fn segment_intersects_rect(seg: &Segment, rect: &Rect) -> bool {
     if !seg.mbr().intersects(rect) {
         return false;
@@ -122,10 +164,7 @@ fn segment_intersects_rect(seg: &Segment, rect: &Rect) -> bool {
     if rect.contains_point(seg.a) || rect.contains_point(seg.b) {
         return true;
     }
-    // Endpoints outside: the segment intersects the rect iff it crosses
-    // one of the rect's edges. Prune first: all four corners strictly on
-    // one side of the segment's line means no contact.
-    let c = [
+    let corners = [
         rect.min,
         Point::new(rect.max.x, rect.min.y),
         rect.max,
@@ -133,7 +172,7 @@ fn segment_intersects_rect(seg: &Segment, rect: &Rect) -> bool {
     ];
     let mut pos = false;
     let mut neg = false;
-    for corner in c {
+    for corner in corners {
         match orient2d(seg.a, seg.b, corner) {
             Orientation::CounterClockwise => pos = true,
             Orientation::Clockwise => neg = true,
@@ -143,18 +182,7 @@ fn segment_intersects_rect(seg: &Segment, rect: &Rect) -> bool {
             }
         }
     }
-    if !(pos && neg) {
-        return false;
-    }
-    let rect_edges = [
-        Segment::new(c[0], c[1]),
-        Segment::new(c[1], c[2]),
-        Segment::new(c[2], c[3]),
-        Segment::new(c[3], c[0]),
-    ];
-    rect_edges
-        .iter()
-        .any(|re| intersect_segments(*seg, *re).is_some())
+    pos && neg
 }
 
 /// Per-cell-row boundary crossings, in CSR layout, for O(log) interior
