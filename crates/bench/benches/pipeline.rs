@@ -2,7 +2,7 @@
 //! determination path — the per-pair costs behind Figure 7.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use stj_core::{JoinMethod, PairCtx, RelateScratch, SpatialObject};
+use stj_core::{DatasetArena, JoinMethod, PairCtx, RelateScratch, DEFAULT_MAX_INTERVALS};
 use stj_datagen::{pair_with_relation, star_polygon, StarParams};
 use stj_de9im::TopoRelation;
 use stj_geom::{Point, Rect};
@@ -12,10 +12,10 @@ fn grid() -> Grid {
     Grid::new(Rect::from_coords(-300.0, -300.0, 1300.0, 1300.0), 14)
 }
 
-fn obj_pair(rel: TopoRelation, complexity: usize, seed: u64) -> (SpatialObject, SpatialObject) {
-    let g = grid();
+/// A two-row arena holding a pair with relation `rel`.
+fn obj_pair(rel: TopoRelation, complexity: usize, seed: u64) -> DatasetArena {
     let (a, b) = pair_with_relation(rel, complexity, seed);
-    (SpatialObject::build(a, &g), SpatialObject::build(b, &g))
+    DatasetArena::build("pair", &[a, b], &grid(), DEFAULT_MAX_INTERVALS, 1)
 }
 
 fn bench_methods_per_relation(c: &mut Criterion) {
@@ -27,7 +27,8 @@ fn bench_methods_per_relation(c: &mut Criterion) {
         TopoRelation::Meets,
         TopoRelation::Intersects,
     ] {
-        let (r, s) = obj_pair(rel, 512, 31);
+        let pair = obj_pair(rel, 512, 31);
+        let (r, s) = (pair.object(0), pair.object(1));
         for (name, method) in [
             ("PC", JoinMethod::PC),
             ("ST2", JoinMethod::St2),
@@ -44,11 +45,7 @@ fn bench_methods_per_relation(c: &mut Criterion) {
                             prof: &mut stj_obs::Disabled,
                             adaptive: None,
                         };
-                        black_box(method.find_relation(
-                            black_box(r.view()),
-                            black_box(s.view()),
-                            &mut ctx,
-                        ))
+                        black_box(method.find_relation(black_box(r), black_box(s), &mut ctx))
                     })
                 },
             );

@@ -12,8 +12,8 @@
 //! ```
 
 use std::time::Instant;
-use stj_bench::harness::{default_scale, human_count, mb, threads};
-use stj_core::{find_relation, Dataset, PipelineStats};
+use stj_bench::harness::{default_scale, human_count, mb, storage_bytes, threads};
+use stj_core::{find_relation, DatasetArena, PipelineStats, DEFAULT_MAX_INTERVALS};
 use stj_datagen::{generate_combo, ComboId};
 use stj_geom::Rect;
 use stj_index::mbr_join_parallel;
@@ -36,16 +36,10 @@ fn main() {
     for order in [8u32, 10, 12, 14, 16] {
         let grid = Grid::new(extent, order);
         let t = Instant::now();
-        let r = Dataset::build_parallel("OLE", r_polys.clone(), &grid, threads());
-        let s = Dataset::build_parallel("OPE", s_polys.clone(), &grid, threads());
-        let april_bytes: usize = r
-            .objects
-            .iter()
-            .chain(&s.objects)
-            .map(|o| o.april.serialized_bytes())
-            .sum();
-        let (r, s) = (r.to_arena(), s.to_arena());
+        let r = DatasetArena::build("OLE", &r_polys, &grid, DEFAULT_MAX_INTERVALS, threads());
+        let s = DatasetArena::build("OPE", &s_polys, &grid, DEFAULT_MAX_INTERVALS, threads());
         let prep = t.elapsed();
+        let april_bytes = storage_bytes(&r).2 + storage_bytes(&s).2;
         let pairs = mbr_join_parallel(r.mbrs(), s.mbrs(), threads());
 
         let t = Instant::now();

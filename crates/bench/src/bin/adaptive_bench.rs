@@ -30,7 +30,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
-use stj_core::{AdaptiveMode, Dataset, DatasetArena, TopologyJoin};
+use stj_core::{AdaptiveMode, DatasetArena, TopologyJoin, DEFAULT_MAX_INTERVALS};
 use stj_datagen::{star_polygon, tessellation, StarParams};
 use stj_geom::{Point, Polygon, Rect};
 use stj_obs::Json;
@@ -55,7 +55,13 @@ fn tessellation_family(scale: f64) -> (DatasetArena, Option<DatasetArena>, Grid)
     // intervals — the merge-join the adaptive model should learn to
     // skip — while the 12-vertex cell rings keep refinement cheap.
     let grid = Grid::new(region, 13);
-    let arena = Dataset::build_parallel("tess", cover.polygons(), &grid, threads()).to_arena();
+    let arena = DatasetArena::build(
+        "tess",
+        &cover.polygons(),
+        &grid,
+        DEFAULT_MAX_INTERVALS,
+        threads(),
+    );
     (arena, None, grid)
 }
 
@@ -104,8 +110,20 @@ fn containment_family(scale: f64) -> (DatasetArena, Option<DatasetArena>, Grid) 
         }
     }
     let grid = Grid::new(region, 13);
-    let left = Dataset::build_parallel("containers", containers, &grid, threads()).to_arena();
-    let right = Dataset::build_parallel("contents", contents, &grid, threads()).to_arena();
+    let left = DatasetArena::build(
+        "containers",
+        &containers,
+        &grid,
+        DEFAULT_MAX_INTERVALS,
+        threads(),
+    );
+    let right = DatasetArena::build(
+        "contents",
+        &contents,
+        &grid,
+        DEFAULT_MAX_INTERVALS,
+        threads(),
+    );
     (left, Some(right), grid)
 }
 

@@ -24,7 +24,7 @@
 
 use std::process::Command;
 use std::time::Instant;
-use stj_core::{Dataset, Link, TopologyJoin};
+use stj_core::{DatasetArena, Link, TopologyJoin, DEFAULT_MAX_INTERVALS};
 use stj_geom::Rect;
 use stj_obs::Json;
 use stj_raster::Grid;
@@ -119,9 +119,8 @@ fn main() {
     }
     let grid = Grid::new(extent, 12);
     let t = Instant::now();
-    let ds = Dataset::build_parallel("OBE", polys, &grid, threads);
-    let n = ds.len();
-    let arena = ds.to_arena();
+    let arena = DatasetArena::build("OBE", &polys, &grid, DEFAULT_MAX_INTERVALS, threads);
+    let n = arena.len();
     eprintln!("built {} objects in {:.2?}", n, t.elapsed());
 
     let dir = std::env::temp_dir().join(format!("stj-extern-bench-{}", std::process::id()));

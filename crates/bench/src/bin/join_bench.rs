@@ -20,7 +20,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-use stj_core::{Dataset, DatasetArena, TopologyJoin, STREAM_BATCH_PAIRS};
+use stj_core::{DatasetArena, TopologyJoin, DEFAULT_MAX_INTERVALS, STREAM_BATCH_PAIRS};
 use stj_geom::Rect;
 use stj_obs::Json;
 use stj_raster::Grid;
@@ -106,7 +106,7 @@ fn main() {
     }
     let grid = Grid::new(extent, 14);
     let t = Instant::now();
-    let arena = Dataset::build_parallel("OBE", polys, &grid, build_threads).to_arena();
+    let arena = DatasetArena::build("OBE", &polys, &grid, DEFAULT_MAX_INTERVALS, build_threads);
     let n = arena.len();
     eprintln!("built {} objects in {:.2?}", n, t.elapsed());
 

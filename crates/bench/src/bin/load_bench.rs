@@ -1,7 +1,7 @@
 //! Load-throughput microbench for the storage formats: legacy v1 record
-//! decode vs columnar v2 bulk decode vs v2 zero-copy open, plus the
-//! join-side effect of the arena refactor (owned-object views vs arena
-//! slots over identical candidate pairs).
+//! decode (of the committed `tests/fixtures/stjd-v1.stjd`; nothing writes
+//! v1 any more) vs columnar v2 bulk decode vs v2 zero-copy open, plus a
+//! join over the zero-copy arena.
 //!
 //! A counting global allocator tracks how many heap allocations each
 //! load path performs, and verifies the headline property of the arena:
@@ -20,12 +20,15 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-use stj_core::{find_relation, Dataset, DatasetArena};
+use stj_core::{find_relation, DatasetArena, DEFAULT_MAX_INTERVALS};
 use stj_geom::Rect;
 use stj_index::mbr_join_parallel;
 use stj_obs::Json;
 use stj_raster::Grid;
-use stj_store::{open_arena_from_bytes, read_arena, read_dataset, write_arena_v2, write_dataset};
+use stj_store::{open_arena_from_bytes, read_arena, write_arena_v2};
+
+/// The committed STJD v1 file (see `tests/fixtures/README.md`).
+const V1_BYTES: &[u8] = include_bytes!("../../../../tests/fixtures/stjd-v1.stjd");
 
 /// Passthrough to the system allocator that counts calls and bytes.
 struct CountingAlloc;
@@ -107,14 +110,13 @@ fn main() {
     }
     let grid = Grid::new(extent, 14);
     let t = Instant::now();
-    let ds = Dataset::build_parallel("OBE", polys, &grid, threads);
-    let n = ds.len();
+    let arena = DatasetArena::build("OBE", &polys, &grid, DEFAULT_MAX_INTERVALS, threads);
+    let n = arena.len();
     eprintln!("built {} objects in {:.2?}", n, t.elapsed());
 
-    // Serialize both formats in memory: no filesystem noise.
-    let mut v1_bytes = Vec::new();
-    write_dataset(&mut v1_bytes, &ds, &grid).expect("v1 write");
-    let arena = ds.to_arena();
+    // v1 is the committed fixture; v2 is serialized in memory (no
+    // filesystem noise).
+    let v1_bytes = V1_BYTES;
     let mut v2_bytes = Vec::new();
     write_arena_v2(&mut v2_bytes, &arena, &grid).expect("v2 write");
     eprintln!(
@@ -125,8 +127,7 @@ fn main() {
 
     // The three load paths, each ending in a query-ready DatasetArena.
     let (_a1, v1) = measure("v1_record_decode", || {
-        let (ds, grid) = read_dataset(&mut v1_bytes.as_slice()).expect("v1 read");
-        (ds.to_arena(), grid)
+        read_arena(&mut &v1_bytes[..]).expect("v1 read")
     });
     let (_a2, v2_bulk) = measure("v2_bulk_decode", || {
         read_arena(&mut v2_bytes.as_slice()).expect("v2 read")
@@ -172,16 +173,16 @@ fn main() {
     );
     eprintln!("view scan over {n} objects: 0 allocations");
 
-    // Join wall time over identical candidate pairs: owned objects with
-    // `.view()` (the pre-arena shape) vs arena slots.
+    // Join wall time over the zero-copy arena's candidate pairs, and
+    // the built and opened arenas agree link for link.
     let pairs = mbr_join_parallel(arena.mbrs(), arena.mbrs(), threads);
-    let t = Instant::now();
-    let mut owned_links = 0u64;
-    for &(i, j) in &pairs {
-        let out = find_relation(ds.objects[i as usize].view(), ds.objects[j as usize].view());
-        owned_links += u64::from(out.relation != stj_de9im::TopoRelation::Disjoint);
-    }
-    let owned_ns = t.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+    let built_links = pairs
+        .iter()
+        .filter(|&&(i, j)| {
+            let out = find_relation(arena.object(i as usize), arena.object(j as usize));
+            out.relation != stj_de9im::TopoRelation::Disjoint
+        })
+        .count() as u64;
     let t = Instant::now();
     let a0 = alloc_calls();
     let mut arena_links = 0u64;
@@ -191,11 +192,10 @@ fn main() {
     }
     let filter_allocs = alloc_calls() - a0;
     let arena_ns = t.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-    assert_eq!(owned_links, arena_links, "join results diverged");
+    assert_eq!(built_links, arena_links, "join results diverged");
     eprintln!(
-        "join over {} candidates: owned {:.1} ms, arena {:.1} ms ({} links, {} allocs on the arena pass)",
+        "join over {} candidates: arena {:.1} ms ({} links, {} allocs on the arena pass)",
         pairs.len(),
-        owned_ns as f64 / 1e6,
         arena_ns as f64 / 1e6,
         arena_links,
         filter_allocs
@@ -239,7 +239,6 @@ fn main() {
             Json::object([
                 ("candidates", Json::from(pairs.len())),
                 ("links", Json::U64(arena_links)),
-                ("owned_wall_ns", Json::U64(owned_ns)),
                 ("arena_wall_ns", Json::U64(arena_ns)),
                 ("arena_pass_allocs", Json::U64(filter_allocs)),
             ]),

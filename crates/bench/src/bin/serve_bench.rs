@@ -42,7 +42,7 @@
 //! (default 2000).
 
 use std::time::Instant;
-use stj_core::{AdaptiveMode, Dataset};
+use stj_core::{AdaptiveMode, DatasetArena, DEFAULT_MAX_INTERVALS};
 use stj_datagen::{generate, DatasetId};
 use stj_geom::wkt::polygon_to_wkt;
 use stj_geom::Rect;
@@ -227,7 +227,7 @@ fn main() {
         .map(polygon_to_wkt)
         .collect();
 
-    let arena = Dataset::build_parallel("OPE", parks, &grid, build_threads).to_arena();
+    let arena = DatasetArena::build("OPE", &parks, &grid, DEFAULT_MAX_INTERVALS, build_threads);
     let n = arena.len();
     let tiling = Tiling::for_probes(arena.mbrs());
     let datasets = vec![LoadedDataset {

@@ -1,12 +1,14 @@
 //! One function per paper table/figure, printing the regenerated rows.
 
 use crate::harness::{
-    complexity_levels, default_scale, human_count, mb, profile_pc, run_method, threads, ComboSetup,
-    MethodResult, GRID_ORDER, METHODS,
+    complexity_levels, default_scale, human_count, mb, profile_pc, run_method, storage_bytes,
+    threads, ComboSetup, MethodResult, GRID_ORDER, METHODS,
 };
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
-use stj_core::{intermediate_filter, mbr_class_labels, relate_p, Dataset, IfOutcome};
+use stj_core::{
+    intermediate_filter, mbr_class_labels, relate_p, DatasetArena, IfOutcome, DEFAULT_MAX_INTERVALS,
+};
 use stj_datagen::{fig9_lake_in_park, generate, ComboId, DatasetId, ALL_COMBOS};
 use stj_de9im::{relate, TopoRelation};
 use stj_geom::Rect;
@@ -41,14 +43,8 @@ pub fn table2(scale: f64) {
             extent.grow_rect(p.mbr());
         }
         let grid = Grid::new(extent, GRID_ORDER);
-        let ds = Dataset::build_parallel_with_budget(
-            id.name(),
-            polys,
-            &grid,
-            threads(),
-            id.interval_budget(),
-        );
-        let (poly_b, mbr_b, april_b) = ds.storage_bytes();
+        let ds = DatasetArena::build(id.name(), &polys, &grid, id.interval_budget(), threads());
+        let (poly_b, mbr_b, april_b) = storage_bytes(&ds);
         println!(
             "{:<8} {:>10} {:>14} {:>12} {:>10} {:>10}",
             id.name(),
@@ -356,8 +352,14 @@ pub fn table5_with(setup: &ComboSetup) {
 pub fn fig9() {
     let (lake_poly, park_poly) = fig9_lake_in_park(42);
     let grid = Grid::new(Rect::from_coords(0.0, 0.0, 1000.0, 1000.0), GRID_ORDER);
-    let lake = stj_core::SpatialObject::build(lake_poly, &grid);
-    let park = stj_core::SpatialObject::build(park_poly, &grid);
+    let pair = DatasetArena::build(
+        "fig9",
+        &[lake_poly, park_poly],
+        &grid,
+        DEFAULT_MAX_INTERVALS,
+        1,
+    );
+    let (lake, park) = (pair.object(0), pair.object(1));
 
     println!("== Figure 9: level-10 complexity pair (lake inside park) ==");
     println!("{:<14} {:>10} {:>10}", "", "Lake", "Park");
@@ -392,7 +394,7 @@ pub fn fig9() {
         let t = Instant::now();
         let mut out = None;
         for _ in 0..reps {
-            out = Some(m.run(lake.view(), park.view()));
+            out = Some(m.run(lake, park));
         }
         let dt = t.elapsed() / reps;
         times.push((m.name, out.unwrap().relation, dt));

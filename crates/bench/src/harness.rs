@@ -2,8 +2,8 @@
 
 use std::time::{Duration, Instant};
 use stj_core::{
-    find_relation_with, Dataset, DatasetArena, FindOutcome, JoinMethod, ObjectRef, PairCtx,
-    PipelineStats, RelateScratch,
+    find_relation_with, DatasetArena, FindOutcome, JoinMethod, ObjectRef, PairCtx, PipelineStats,
+    RelateScratch,
 };
 use stj_datagen::{generate_combo, ComboId};
 use stj_geom::Rect;
@@ -55,21 +55,8 @@ impl ComboSetup {
         let grid = Grid::new(extent, GRID_ORDER);
         let (rn, sn) = combo.datasets();
         let t = Instant::now();
-        let r = Dataset::build_parallel_with_budget(
-            rn.name(),
-            r_polys,
-            &grid,
-            threads(),
-            rn.interval_budget(),
-        );
-        let s = Dataset::build_parallel_with_budget(
-            sn.name(),
-            s_polys,
-            &grid,
-            threads(),
-            sn.interval_budget(),
-        );
-        let (r, s) = (r.to_arena(), s.to_arena());
+        let r = DatasetArena::build(rn.name(), &r_polys, &grid, rn.interval_budget(), threads());
+        let s = DatasetArena::build(sn.name(), &s_polys, &grid, sn.interval_budget(), threads());
         let preprocess_time = t.elapsed();
         let pairs = mbr_join_parallel(r.mbrs(), s.mbrs(), threads());
         ComboSetup {
@@ -86,6 +73,18 @@ impl ComboSetup {
     pub fn pair(&self, i: u32, j: u32) -> (ObjectRef<'_>, ObjectRef<'_>) {
         (self.r.object(i as usize), self.s.object(j as usize))
     }
+}
+
+/// Storage accounting for the paper's Table 2, in bytes, from the
+/// arena's columns: `(polygon bytes, MBR bytes, P+C bytes)` at 16 B per
+/// vertex, 32 B per MBR and 8 B per interval (two `u32` cell ids, valid
+/// for grid orders up to 16).
+pub fn storage_bytes(arena: &DatasetArena) -> (usize, usize, usize) {
+    (
+        arena.total_vertices() * 16,
+        arena.len() * Rect::SERIALIZED_BYTES,
+        (arena.p_pool().len() + arena.c_pool().len()) * 8,
+    )
 }
 
 /// A find-relation method under comparison.

@@ -3,8 +3,8 @@
 //! the runner.
 
 use stj_core::{
-    find_relation, intermediate_filter, relate_p, Dataset, IfOutcome, JoinMethod, PairCtx,
-    RelateScratch, SpatialObject,
+    find_relation, intermediate_filter, relate_p, DatasetArena, IfOutcome, JoinMethod, PairCtx,
+    RelateScratch, DEFAULT_MAX_INTERVALS,
 };
 use stj_de9im::{relate, TopoRelation};
 use stj_geom::Polygon;
@@ -94,18 +94,24 @@ const ALL_RELATIONS: [TopoRelation; 8] = [
 
 /// Checks invariants (a)–(e) for one polygon pair on `grid`.
 ///
-/// Builds the APRIL approximations, runs every join method plus all
-/// eight `relate_p` predicates, and compares everything against the
-/// DE-9IM oracle; the pair is then pushed through a v2 write and
-/// zero-copy open to confirm the arena-backed views answer
-/// identically. Returns the first violation found.
+/// Builds the pair into a two-row arena, runs every join method plus
+/// all eight `relate_p` predicates, and compares everything against the
+/// DE-9IM oracle; the arena is then pushed through a v2 write and
+/// zero-copy open to confirm the reopened rows answer identically.
+/// Returns the first violation found.
 pub fn check_pair(a: &Polygon, b: &Polygon, grid: &Grid) -> PairVerdict {
-    let r = SpatialObject::build(a.clone(), grid);
-    let s = SpatialObject::build(b.clone(), grid);
+    let arena = DatasetArena::build(
+        "check-pair",
+        &[a.clone(), b.clone()],
+        grid,
+        DEFAULT_MAX_INTERVALS,
+        1,
+    );
+    let (r, s) = (arena.object(0), arena.object(1));
 
     // (d) structural half: P ⊆ C per object.
-    for (label, obj) in [("a", &r), ("b", &s)] {
-        if !obj.april.p.inside(&obj.april.c) {
+    for (label, obj) in [("a", r), ("b", s)] {
+        if !obj.april.p.inside(obj.april.c) {
             return Err((
                 InvariantKind::AprilSoundness,
                 format!("object {label}: APRIL P list not a subset of its C list"),
@@ -117,7 +123,7 @@ pub fn check_pair(a: &Polygon, b: &Polygon, grid: &Grid) -> PairVerdict {
     let truth = TopoRelation::most_specific(&matrix);
 
     // (a) method agreement against the oracle.
-    let pc = find_relation(r.view(), s.view());
+    let pc = find_relation(r, s);
     let mut ctx = PairCtx {
         scratch: &mut RelateScratch::default(),
         prof: &mut stj_obs::Disabled,
@@ -129,7 +135,7 @@ pub fn check_pair(a: &Polygon, b: &Polygon, grid: &Grid) -> PairVerdict {
         ("op2", JoinMethod::Op2),
         ("april", JoinMethod::April),
     ] {
-        let got = m.find_relation(r.view(), s.view(), &mut ctx);
+        let got = m.find_relation(r, s, &mut ctx);
         if got.relation != truth {
             return Err((
                 InvariantKind::MethodAgreement,
@@ -142,7 +148,7 @@ pub fn check_pair(a: &Polygon, b: &Polygon, grid: &Grid) -> PairVerdict {
     }
 
     // (b) converse symmetry.
-    let rev = find_relation(s.view(), r.view());
+    let rev = find_relation(s, r);
     if rev.relation != truth.converse() {
         return Err((
             InvariantKind::ConverseSymmetry,
@@ -155,7 +161,7 @@ pub fn check_pair(a: &Polygon, b: &Polygon, grid: &Grid) -> PairVerdict {
     }
 
     // (c) admissibility: the truth must be in the MBR class candidates.
-    let mbr_rel = MbrRelation::classify(&r.mbr, &s.mbr);
+    let mbr_rel = MbrRelation::classify(r.mbr, s.mbr);
     if !mbr_rel.admits(truth) {
         return Err((
             InvariantKind::MbrAdmissibility,
@@ -170,7 +176,7 @@ pub fn check_pair(a: &Polygon, b: &Polygon, grid: &Grid) -> PairVerdict {
     // (d) filter half: a Definite intermediate-filter verdict must match
     // the oracle...
     if !matches!(mbr_rel, MbrRelation::Disjoint | MbrRelation::Cross) {
-        if let IfOutcome::Definite(rel) = intermediate_filter(mbr_rel, r.view(), s.view()) {
+        if let IfOutcome::Definite(rel) = intermediate_filter(mbr_rel, r, s) {
             if rel != truth {
                 return Err((
                     InvariantKind::AprilSoundness,
@@ -184,7 +190,7 @@ pub fn check_pair(a: &Polygon, b: &Polygon, grid: &Grid) -> PairVerdict {
     }
     // ...and every relate_p predicate answer must match DE-9IM semantics.
     for p in ALL_RELATIONS {
-        let out = relate_p(r.view(), s.view(), p);
+        let out = relate_p(r, s, p);
         let expect = p.holds(&matrix);
         if out.holds != expect {
             return Err((
@@ -197,15 +203,10 @@ pub fn check_pair(a: &Polygon, b: &Polygon, grid: &Grid) -> PairVerdict {
         }
     }
 
-    // (e) storage fidelity: write the pair as an STJD v2 arena, reopen it
-    // through the zero-copy path (bulk decode on platforms without it),
-    // and require the borrowed views to answer exactly like the owned
-    // objects did above.
-    let ds = Dataset {
-        name: "check-pair".to_string(),
-        objects: vec![r.clone(), s.clone()],
-    };
-    let arena = ds.to_arena();
+    // (e) storage fidelity: write the arena as STJD v2, reopen it through
+    // the zero-copy path (bulk decode on platforms without it), and
+    // require the reopened rows to answer exactly like the in-memory
+    // rows did above.
     let mut buf = Vec::new();
     if let Err(e) = write_arena_v2(&mut buf, &arena, grid) {
         return Err((
@@ -228,20 +229,20 @@ pub fn check_pair(a: &Polygon, b: &Polygon, grid: &Grid) -> PairVerdict {
         return Err((
             InvariantKind::StorageFidelity,
             format!(
-                "reopened arena says {:?} (via {:?}), owned objects said {:?} (via {:?})",
+                "reopened arena says {:?} (via {:?}), in-memory arena said {:?} (via {:?})",
                 zc.relation, zc.determination, pc.relation, pc.determination
             ),
         ));
     }
     for p in ALL_RELATIONS {
-        let owned = relate_p(r.view(), s.view(), p);
+        let built = relate_p(r, s, p);
         let stored = relate_p(zr, zs, p);
-        if stored.holds != owned.holds || stored.determination != owned.determination {
+        if stored.holds != built.holds || stored.determination != built.determination {
             return Err((
                 InvariantKind::StorageFidelity,
                 format!(
-                    "relate_p({p:?}) diverges after reopen: stored {} (via {:?}), owned {} (via {:?})",
-                    stored.holds, stored.determination, owned.holds, owned.determination
+                    "relate_p({p:?}) diverges after reopen: stored {} (via {:?}), in-memory {} (via {:?})",
+                    stored.holds, stored.determination, built.holds, built.determination
                 ),
             ));
         }

@@ -6,8 +6,8 @@ use crate::invariants::{check_pair, InvariantKind};
 use crate::shrink::shrink_pair;
 use std::time::Instant;
 use stj_core::{
-    relate_p_with, AdaptiveMode, Dataset, DatasetArena, JoinMethod, JoinResult, Link, PairCtx,
-    PipelineStats, RelateScratch, TopologyJoin,
+    relate_p_with, AdaptiveMode, DatasetArena, JoinMethod, JoinResult, Link, PairCtx,
+    PipelineStats, RelateScratch, TopologyJoin, DEFAULT_MAX_INTERVALS,
 };
 use stj_datagen::adversarial::{adversarial_pair, adversarial_space, CATEGORIES};
 use stj_de9im::TopoRelation;
@@ -335,8 +335,14 @@ fn sample_arenas(config: &CheckConfig, grid: &Grid, sample: u64) -> (DatasetAren
     }
     let threads = config.threads.max(1);
     (
-        Dataset::build_parallel("check-exec-a", lefts, grid, threads).to_arena(),
-        Dataset::build_parallel("check-exec-b", rights, grid, threads).to_arena(),
+        DatasetArena::build("check-exec-a", &lefts, grid, DEFAULT_MAX_INTERVALS, threads),
+        DatasetArena::build(
+            "check-exec-b",
+            &rights,
+            grid,
+            DEFAULT_MAX_INTERVALS,
+            threads,
+        ),
     )
 }
 

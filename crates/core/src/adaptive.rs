@@ -715,7 +715,7 @@ pub(crate) fn elapsed_ns(t0: Instant) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::object::SpatialObject;
+    use crate::arena::{one_row, DatasetArena};
     use crate::pipeline::{find_relation, find_relation_with, PairCtx};
     use crate::relate_pred::{relate_p, relate_p_with};
     use stj_de9im::RelateScratch;
@@ -727,8 +727,8 @@ mod tests {
         Grid::new(Rect::from_coords(0.0, 0.0, 100.0, 100.0), 8)
     }
 
-    fn obj(x0: f64, y0: f64, x1: f64, y1: f64) -> SpatialObject {
-        SpatialObject::build(Polygon::rect(Rect::from_coords(x0, y0, x1, y1)), &grid())
+    fn obj(x0: f64, y0: f64, x1: f64, y1: f64) -> DatasetArena {
+        one_row(Polygon::rect(Rect::from_coords(x0, y0, x1, y1)), &grid())
     }
 
     /// A timed gate on cell `idx`, for feeding synthetic costs.
@@ -766,15 +766,15 @@ mod tests {
         for r in &objects {
             for s in &objects {
                 let adaptive = find_relation_with(
-                    r.view(),
-                    s.view(),
+                    r.object(0),
+                    s.object(0),
                     &mut PairCtx {
                         scratch: &mut scratch,
                         prof: &mut Disabled,
                         adaptive: Some(&mut worker),
                     },
                 );
-                let st = find_relation(r.view(), s.view());
+                let st = find_relation(r.object(0), s.object(0));
                 assert_eq!(adaptive.relation, st.relation);
                 for p in [
                     TopoRelation::Equals,
@@ -784,8 +784,8 @@ mod tests {
                     TopoRelation::Meets,
                 ] {
                     let ad = relate_p_with(
-                        r.view(),
-                        s.view(),
+                        r.object(0),
+                        s.object(0),
                         p,
                         &mut PairCtx {
                             scratch: &mut scratch,
@@ -793,7 +793,11 @@ mod tests {
                             adaptive: Some(&mut worker),
                         },
                     );
-                    assert_eq!(ad.holds, relate_p(r.view(), s.view(), p).holds, "{p:?}");
+                    assert_eq!(
+                        ad.holds,
+                        relate_p(r.object(0), s.object(0), p).holds,
+                        "{p:?}"
+                    );
                 }
             }
         }
@@ -818,8 +822,8 @@ mod tests {
         // timings on tiny objects its flip direction is noise.
         for _ in 0..12 {
             let out = find_relation_with(
-                a.view(),
-                b.view(),
+                a.object(0),
+                b.object(0),
                 &mut PairCtx {
                     scratch: &mut scratch,
                     prof: &mut Disabled,
@@ -904,8 +908,8 @@ mod tests {
         let inner = obj(40.0, 40.0, 50.0, 50.0);
         for _ in 0..64 {
             let out = find_relation_with(
-                inner.view(),
-                outer.view(),
+                inner.object(0),
+                outer.object(0),
                 &mut PairCtx {
                     scratch: &mut scratch,
                     prof: &mut Disabled,

@@ -1,7 +1,7 @@
 //! Columnar dataset arena and borrowed object views.
 //!
 //! A [`DatasetArena`] stores a whole preprocessed dataset as a handful of
-//! contiguous columns instead of one owned [`SpatialObject`] per object:
+//! contiguous columns:
 //!
 //! - one MBR column (`Rect` per object) — the MBR join sweeps this
 //!   directly, no gather step;
@@ -13,10 +13,12 @@
 //!   ring → vertex range) for the geometry.
 //!
 //! [`DatasetArena::object`] hands out an [`ObjectRef`] — a `Copy` bundle
-//! of borrowed views (`&Rect`, [`AprilRef`], [`GeomRef`]) that the whole
-//! pipeline consumes instead of `&SpatialObject`. The same `ObjectRef` is
-//! produced by [`SpatialObject::view`], so owned objects and arena slots
-//! share every code path downstream of preprocessing.
+//! of borrowed views (`&Rect`, [`AprilRef`], [`PolyView`]) that the whole
+//! pipeline consumes. Arenas are the only object representation: every
+//! arena made from polygons — [`DatasetArena::build`], the v1 store
+//! migration, [`DatasetArena::from_dataset`], and the one-row arenas
+//! `stj serve` builds for probes — appends its rows through
+//! [`ArenaColumns::push`].
 //!
 //! Columns are either owned `Vec`s (built in memory, or bulk-loaded from
 //! the v2 store) or *views* into a single `u64`-aligned backing buffer
@@ -24,9 +26,15 @@
 //! crate is the view-column slice cast, guarded by construction-time
 //! validation plus [`zero_copy_supported`].
 
-use crate::object::{Dataset, SpatialObject};
-use stj_geom::{GeomRef, Point, PolyView, Rect};
-use stj_raster::{AprilRef, IntervalsRef};
+use crate::object::Dataset;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use stj_geom::{try_interior_point_with, Areal, InteriorScratch, Point, PolyView, Polygon, Rect};
+use stj_raster::{AprilApprox, AprilRef, Grid, IntervalsRef};
+
+/// Objects per work unit of [`DatasetArena::build`]: small enough that a
+/// few huge polygons cannot leave a worker idle for long, large enough
+/// that per-chunk column vectors stay cheap.
+const BUILD_CHUNK: usize = 64;
 
 /// A `Copy` borrowed view of one preprocessed object: everything the
 /// find-relation pipeline needs, with no owned allocations behind it.
@@ -37,14 +45,14 @@ pub struct ObjectRef<'a> {
     /// APRIL `P`/`C` interval-slice views on the shared grid.
     pub april: AprilRef<'a>,
     /// The exact geometry (used only by the refinement step).
-    pub geom: GeomRef<'a>,
+    pub geom: PolyView<'a>,
 }
 
 impl ObjectRef<'_> {
     /// Vertex count (the paper's complexity measure).
     #[inline]
     pub fn num_vertices(&self) -> usize {
-        stj_geom::Areal::num_vertices(&self.geom)
+        self.geom.num_vertices()
     }
 }
 
@@ -174,9 +182,9 @@ enum Col<T> {
 }
 
 /// Owned columns for building a [`DatasetArena`] — the bulk-load input of
-/// the v2 store and the output of [`Dataset`] conversion. Field meanings
-/// match the module docs; all offset tables are `len + 1` prefix arrays
-/// starting at 0.
+/// the v2 store, and the row buffer every arena made from polygons is
+/// appended to ([`ArenaColumns::push`]). Field meanings match the module
+/// docs; all offset tables are `len + 1` prefix arrays starting at 0.
 #[derive(Clone, Debug, Default)]
 pub struct ArenaColumns {
     /// Scenario-unique dataset name (e.g. `"OLE"`).
@@ -201,6 +209,72 @@ pub struct ArenaColumns {
     /// Flat pool of ring vertices (unclosed, winding normalized).
     pub verts: Vec<Point>,
 }
+
+impl ArenaColumns {
+    /// Empty columns for a dataset called `name`, offset tables seeded.
+    pub fn new(name: impl Into<String>) -> ArenaColumns {
+        ArenaColumns {
+            name: name.into(),
+            p_offs: vec![0],
+            c_offs: vec![0],
+            obj_ring_offs: vec![0],
+            ring_vert_offs: vec![0],
+            ..ArenaColumns::default()
+        }
+    }
+
+    /// Appends `polygon` with its approximation `april` as the next
+    /// object: MBR from the polygon, representative interior point
+    /// computed here (NaN sentinel for degenerate slivers), then the
+    /// interval spans and rings. This is the row-append routine every
+    /// arena made from polygons goes through.
+    pub fn push(&mut self, polygon: &Polygon, april: AprilRef<'_>, scratch: &mut InteriorScratch) {
+        let interior = try_interior_point_with(polygon, scratch).unwrap_or(NO_INTERIOR);
+        self.push_row(*polygon.mbr(), interior, april, polygon);
+    }
+
+    /// Appends one row from its parts (shared by [`ArenaColumns::push`]
+    /// and [`DatasetArena::select`]).
+    fn push_row(&mut self, mbr: Rect, interior: Point, april: AprilRef<'_>, geom: &dyn Areal) {
+        self.mbrs.push(mbr);
+        self.interior.push(interior);
+        self.p_pool.extend_from_slice(april.p.intervals());
+        self.c_pool.extend_from_slice(april.c.intervals());
+        self.p_offs.push(self.p_pool.len() as u64);
+        self.c_offs.push(self.c_pool.len() as u64);
+        geom.for_each_ring(&mut |ring| {
+            self.verts.extend_from_slice(ring);
+            self.ring_vert_offs.push(self.verts.len() as u64);
+        });
+        self.obj_ring_offs
+            .push((self.ring_vert_offs.len() - 1) as u64);
+    }
+
+    /// Appends every row of `chunk` (columns seeded by
+    /// [`ArenaColumns::new`]), rebasing its offsets.
+    fn append(&mut self, chunk: &ArenaColumns) {
+        fn rebase(dst: &mut Vec<u64>, src: &[u64], base: u64) {
+            dst.extend(src[1..].iter().map(|o| o + base));
+        }
+        rebase(&mut self.p_offs, &chunk.p_offs, self.p_pool.len() as u64);
+        rebase(&mut self.c_offs, &chunk.c_offs, self.c_pool.len() as u64);
+        let rings = (self.ring_vert_offs.len() - 1) as u64;
+        rebase(&mut self.obj_ring_offs, &chunk.obj_ring_offs, rings);
+        rebase(
+            &mut self.ring_vert_offs,
+            &chunk.ring_vert_offs,
+            self.verts.len() as u64,
+        );
+        self.mbrs.extend_from_slice(&chunk.mbrs);
+        self.interior.extend_from_slice(&chunk.interior);
+        self.p_pool.extend_from_slice(&chunk.p_pool);
+        self.c_pool.extend_from_slice(&chunk.c_pool);
+        self.verts.extend_from_slice(&chunk.verts);
+    }
+}
+
+/// The interior-column sentinel for "no detectable interior".
+const NO_INTERIOR: Point = Point::new(f64::NAN, f64::NAN);
 
 /// Word offsets (into the backing buffer) and element counts of each
 /// column for a zero-copy open — computed by the v2 store from its
@@ -253,32 +327,71 @@ pub struct DatasetArena {
 }
 
 impl DatasetArena {
-    /// Converts an owned [`Dataset`] into columnar form, computing the
-    /// per-object interior points (NaN sentinel for degenerate slivers).
-    pub fn from_dataset(ds: &Dataset) -> DatasetArena {
-        let mut cols = ArenaColumns {
-            name: ds.name.clone(),
-            ..ArenaColumns::default()
-        };
-        cols.p_offs.push(0);
-        cols.c_offs.push(0);
-        cols.obj_ring_offs.push(0);
-        cols.ring_vert_offs.push(0);
-        for o in &ds.objects {
-            cols.mbrs.push(o.mbr);
-            cols.interior.push(
-                stj_geom::try_interior_point(&o.polygon).unwrap_or(Point::new(f64::NAN, f64::NAN)),
-            );
-            cols.p_pool.extend_from_slice(o.april.p.intervals());
-            cols.c_pool.extend_from_slice(o.april.c.intervals());
-            cols.p_offs.push(cols.p_pool.len() as u64);
-            cols.c_offs.push(cols.c_pool.len() as u64);
-            for ring in std::iter::once(o.polygon.outer()).chain(o.polygon.holes().iter()) {
-                cols.verts.extend_from_slice(ring.vertices());
-                cols.ring_vert_offs.push(cols.verts.len() as u64);
+    /// Preprocesses `polygons` into an arena: rasterizes each polygon's
+    /// APRIL approximation on `grid`, capped at `max_intervals` intervals
+    /// per list ([`AprilApprox::build_capped`]; `usize::MAX` keeps full
+    /// resolution), and computes its interior point. `threads` workers
+    /// claim chunks of objects dynamically and fill per-worker column
+    /// chunks, which are concatenated in input order, so the result does
+    /// not depend on `threads`.
+    pub fn build(
+        name: &str,
+        polygons: &[Polygon],
+        grid: &Grid,
+        max_intervals: usize,
+        threads: usize,
+    ) -> DatasetArena {
+        let fill = |cols: &mut ArenaColumns, polys: &[Polygon], scratch: &mut InteriorScratch| {
+            for p in polys {
+                let april = AprilApprox::build_capped(p, grid, max_intervals);
+                cols.push(p, april.as_ref(), scratch);
             }
-            cols.obj_ring_offs
-                .push((cols.ring_vert_offs.len() - 1) as u64);
+        };
+        let mut cols = ArenaColumns::new(name);
+        let chunks: Vec<&[Polygon]> = polygons.chunks(BUILD_CHUNK).collect();
+        let threads = threads.clamp(1, chunks.len().max(1));
+        if threads == 1 {
+            fill(&mut cols, polygons, &mut InteriorScratch::default());
+        } else {
+            let next = AtomicUsize::new(0);
+            let mut built: Vec<(usize, ArenaColumns)> = std::thread::scope(|scope| {
+                let workers: Vec<_> = (0..threads)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            let mut scratch = InteriorScratch::default();
+                            let mut mine = Vec::new();
+                            loop {
+                                let k = next.fetch_add(1, Ordering::Relaxed);
+                                let Some(polys) = chunks.get(k) else {
+                                    break mine;
+                                };
+                                let mut chunk = ArenaColumns::new(String::new());
+                                fill(&mut chunk, polys, &mut scratch);
+                                mine.push((k, chunk));
+                            }
+                        })
+                    })
+                    .collect();
+                workers
+                    .into_iter()
+                    .flat_map(|w| w.join().expect("arena build worker panicked"))
+                    .collect()
+            });
+            built.sort_unstable_by_key(|&(k, _)| k);
+            for (_, chunk) in built {
+                cols.append(&chunk);
+            }
+        }
+        DatasetArena::from_columns(cols).expect("built columns are valid")
+    }
+
+    /// Converts owned rows into columnar form through
+    /// [`ArenaColumns::push`] (the row's MBR is the polygon's).
+    pub fn from_dataset(ds: &Dataset) -> DatasetArena {
+        let mut cols = ArenaColumns::new(ds.name.clone());
+        let mut scratch = InteriorScratch::default();
+        for o in &ds.objects {
+            cols.push(&o.polygon, o.april.as_ref(), &mut scratch);
         }
         DatasetArena::from_columns(cols).expect("dataset invariants hold")
     }
@@ -495,18 +608,13 @@ impl DatasetArena {
         };
         let ring_offs = self.col(&self.obj_ring_offs);
         let (rlo, rhi) = (ring_offs[i] as usize, ring_offs[i + 1] as usize);
-        let geom = GeomRef::View(PolyView::new(
+        let geom = PolyView::new(
             self.col(&self.verts),
             &self.col(&self.ring_vert_offs)[rlo..=rhi],
             *mbr,
             self.col(&self.interior)[i],
-        ));
+        );
         ObjectRef { mbr, april, geom }
-    }
-
-    /// Iterates over all object views.
-    pub fn objects(&self) -> impl Iterator<Item = ObjectRef<'_>> {
-        (0..self.len()).map(|i| self.object(i))
     }
 
     /// Total vertex count across all objects.
@@ -563,44 +671,17 @@ impl DatasetArena {
     /// # Panics
     /// Panics if any id is `>= self.len()`.
     pub fn select(&self, name: &str, ids: &[u32]) -> DatasetArena {
-        let mut cols = ArenaColumns {
-            name: name.to_string(),
-            ..ArenaColumns::default()
-        };
-        cols.p_offs.push(0);
-        cols.c_offs.push(0);
-        cols.obj_ring_offs.push(0);
-        cols.ring_vert_offs.push(0);
-        let (p_offs, c_offs) = (self.p_offs(), self.c_offs());
-        let ring_offs = self.obj_ring_offs();
-        let rv_offs = self.ring_vert_offs();
+        let mut cols = ArenaColumns::new(name);
         for &id in ids {
-            let i = id as usize;
-            cols.mbrs.push(self.mbrs()[i]);
-            cols.interior.push(self.interior_points()[i]);
-            cols.p_pool
-                .extend_from_slice(&self.p_pool()[p_offs[i] as usize..p_offs[i + 1] as usize]);
-            cols.c_pool
-                .extend_from_slice(&self.c_pool()[c_offs[i] as usize..c_offs[i + 1] as usize]);
-            cols.p_offs.push(cols.p_pool.len() as u64);
-            cols.c_offs.push(cols.c_pool.len() as u64);
-            for r in ring_offs[i]..ring_offs[i + 1] {
-                let (lo, hi) = (
-                    rv_offs[r as usize] as usize,
-                    rv_offs[r as usize + 1] as usize,
-                );
-                cols.verts.extend_from_slice(&self.verts()[lo..hi]);
-                cols.ring_vert_offs.push(cols.verts.len() as u64);
-            }
-            cols.obj_ring_offs
-                .push((cols.ring_vert_offs.len() - 1) as u64);
+            let o = self.object(id as usize);
+            cols.push_row(*o.mbr, o.geom.interior(), o.april, &o.geom);
         }
         DatasetArena::from_columns(cols).expect("gather from a valid arena stays valid")
     }
 
-    /// Clones the arena's contents back into owned columns (test/tool
-    /// helper; also how an arena migrates between formats).
-    pub fn to_columns(&self) -> ArenaColumns {
+    /// Clones the arena's contents back into owned columns.
+    #[cfg(test)]
+    fn to_columns(&self) -> ArenaColumns {
         ArenaColumns {
             name: self.name.clone(),
             mbrs: self.mbrs().to_vec(),
@@ -612,26 +693,6 @@ impl DatasetArena {
             obj_ring_offs: self.col(&self.obj_ring_offs).to_vec(),
             ring_vert_offs: self.col(&self.ring_vert_offs).to_vec(),
             verts: self.col(&self.verts).to_vec(),
-        }
-    }
-}
-
-impl Dataset {
-    /// Converts this dataset into columnar arena form — the build-time
-    /// bridge from owned preprocessing to the view-based pipeline.
-    pub fn to_arena(&self) -> DatasetArena {
-        DatasetArena::from_dataset(self)
-    }
-}
-
-impl SpatialObject {
-    /// Borrowed pipeline view of this object, interchangeable with arena
-    /// slots ([`DatasetArena::object`]).
-    pub fn view(&self) -> ObjectRef<'_> {
-        ObjectRef {
-            mbr: &self.mbr,
-            april: self.april.as_ref(),
-            geom: GeomRef::Poly(&self.polygon),
         }
     }
 }
@@ -672,6 +733,12 @@ impl std::fmt::Debug for DatasetArena {
             .field("backing", &self.backing_kind())
             .finish()
     }
+}
+
+/// A one-row arena at the default interval budget (unit-test shorthand).
+#[cfg(test)]
+pub(crate) fn one_row(polygon: Polygon, grid: &Grid) -> DatasetArena {
+    DatasetArena::build("one", &[polygon], grid, crate::DEFAULT_MAX_INTERVALS, 1)
 }
 
 /// Shared structural validation — see [`DatasetArena::from_columns`].
@@ -772,15 +839,15 @@ fn check_pool(offs: &[u64], pool: &[(u64, u64)], what: &str) -> Result<(), Arena
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stj_geom::Polygon;
-    use stj_raster::Grid;
+    use crate::object::SpatialObject;
+    use crate::DEFAULT_MAX_INTERVALS;
 
     fn grid() -> Grid {
         Grid::new(Rect::from_coords(0.0, 0.0, 100.0, 100.0), 8)
     }
 
-    fn dataset() -> Dataset {
-        let polys = vec![
+    fn polygons() -> Vec<Polygon> {
+        vec![
             Polygon::rect(Rect::from_coords(5.0, 5.0, 40.0, 40.0)),
             Polygon::from_coords(
                 vec![(50.0, 10.0), (90.0, 10.0), (90.0, 45.0), (50.0, 45.0)],
@@ -788,38 +855,92 @@ mod tests {
             )
             .unwrap(),
             Polygon::from_coords(vec![(10.0, 60.0), (45.0, 60.0), (20.0, 90.0)], vec![]).unwrap(),
-        ];
-        Dataset::build("tiny", polys, &grid())
+        ]
+    }
+
+    fn arena() -> DatasetArena {
+        DatasetArena::build("tiny", &polygons(), &grid(), DEFAULT_MAX_INTERVALS, 1)
+    }
+
+    /// `n` small squares on a 10 × 10 lattice, cycling.
+    fn squares(n: usize) -> Vec<Polygon> {
+        (0..n)
+            .map(|i| {
+                let x = (i % 10) as f64 * 10.0;
+                let y = (i / 10 % 10) as f64 * 10.0;
+                Polygon::rect(Rect::from_coords(x + 1.0, y + 1.0, x + 8.0, y + 8.0))
+            })
+            .collect()
     }
 
     #[test]
-    fn arena_mirrors_dataset() {
-        let ds = dataset();
-        let arena = ds.to_arena();
-        assert_eq!(arena.len(), ds.len());
+    fn build_mirrors_polygons() {
+        let polys = polygons();
+        let arena = arena();
+        assert_eq!(arena.len(), polys.len());
         assert_eq!(arena.name(), "tiny");
         assert!(!arena.is_zero_copy());
-        assert_eq!(arena.mbrs(), ds.mbrs().as_slice());
-        assert_eq!(arena.total_vertices(), ds.total_vertices());
-        assert_eq!(arena.extent(), ds.extent());
-        for (i, o) in ds.objects.iter().enumerate() {
+        let mut extent = Rect::empty();
+        for (i, p) in polys.iter().enumerate() {
             let v = arena.object(i);
-            assert_eq!(*v.mbr, o.mbr);
-            assert_eq!(v.num_vertices(), o.num_vertices());
-            assert_eq!(v.april.p.intervals(), o.april.p.intervals());
-            assert_eq!(v.april.c.intervals(), o.april.c.intervals());
+            let april = AprilApprox::build_capped(p, &grid(), DEFAULT_MAX_INTERVALS);
+            assert_eq!(*v.mbr, *p.mbr());
+            assert_eq!(v.num_vertices(), p.num_vertices());
+            assert_eq!(v.april.p.intervals(), april.p.intervals());
+            assert_eq!(v.april.c.intervals(), april.c.intervals());
+            assert_eq!(p.locate(v.geom.interior()), stj_geom::Location::Inside);
+            extent.grow_rect(p.mbr());
         }
-        assert_eq!(arena.objects().count(), 3);
+        assert_eq!(arena.total_vertices(), 4 + 8 + 3);
+        assert_eq!(arena.extent(), extent);
     }
 
     #[test]
-    fn arena_views_relate_like_owned_objects() {
+    fn parallel_build_matches_sequential() {
+        // Uneven chunks: the last one is partial.
+        let polys = squares(3 * BUILD_CHUNK + 7);
+        let seq = DatasetArena::build("T", &polys, &grid(), DEFAULT_MAX_INTERVALS, 1);
+        for threads in [2, 3, 64] {
+            let par = DatasetArena::build("T", &polys, &grid(), DEFAULT_MAX_INTERVALS, threads);
+            assert_eq!(par, seq, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn from_dataset_matches_build() {
+        let polys = polygons();
+        let ds = Dataset {
+            name: "tiny".to_string(),
+            objects: polys
+                .iter()
+                .map(|p| {
+                    let april = AprilApprox::build_capped(p, &grid(), DEFAULT_MAX_INTERVALS);
+                    SpatialObject::from_parts(p.clone(), april)
+                })
+                .collect(),
+        };
+        assert_eq!(DatasetArena::from_dataset(&ds), arena());
+    }
+
+    #[test]
+    fn degenerate_sliver_stores_nan_interior() {
+        // Zero-area: every vertex on x = 100.
+        let sliver =
+            Polygon::from_coords(vec![(100.0, 10.0), (100.0, 50.0), (100.0, 90.0)], vec![])
+                .unwrap();
+        let a = DatasetArena::build("s", &[sliver], &grid(), DEFAULT_MAX_INTERVALS, 1);
+        assert!(a.interior_points()[0].x.is_nan());
+        assert!(stj_geom::Areal::interior_points(&a.object(0).geom).is_empty());
+    }
+
+    #[test]
+    fn arena_views_relate_like_polygons() {
         use stj_de9im::relate;
-        let ds = dataset();
-        let arena = ds.to_arena();
-        for i in 0..ds.len() {
-            for j in 0..ds.len() {
-                let owned = relate(&ds.objects[i].polygon, &ds.objects[j].polygon);
+        let polys = polygons();
+        let arena = arena();
+        for i in 0..polys.len() {
+            for j in 0..polys.len() {
+                let owned = relate(&polys[i], &polys[j]);
                 let viewed = relate(&arena.object(i).geom, &arena.object(j).geom);
                 assert_eq!(owned, viewed, "pair ({i},{j})");
             }
@@ -828,14 +949,14 @@ mod tests {
 
     #[test]
     fn columns_roundtrip_and_compare_equal() {
-        let arena = dataset().to_arena();
+        let arena = arena();
         let rebuilt = DatasetArena::from_columns(arena.to_columns()).unwrap();
         assert_eq!(arena, rebuilt);
     }
 
     #[test]
     fn validation_rejects_corrupt_columns() {
-        let base = dataset().to_arena().to_columns();
+        let base = arena().to_columns();
 
         let mut c = base.clone();
         c.p_offs[1] = u64::MAX;
@@ -865,16 +986,16 @@ mod tests {
 
     #[test]
     fn empty_dataset_arena() {
-        let ds = Dataset::build("empty", vec![], &grid());
-        let arena = ds.to_arena();
-        assert!(arena.is_empty());
-        assert_eq!(arena.mbrs(), &[] as &[Rect]);
-        assert_eq!(arena.objects().count(), 0);
+        for threads in [1, 4] {
+            let arena = DatasetArena::build("empty", &[], &grid(), DEFAULT_MAX_INTERVALS, threads);
+            assert!(arena.is_empty());
+            assert_eq!(arena.mbrs(), &[] as &[Rect]);
+        }
     }
 
     #[test]
     fn select_gathers_bit_identical_objects() {
-        let arena = dataset().to_arena();
+        let arena = arena();
         // Reversed subset: order must follow `ids`, not the source.
         let sub = arena.select("sub", &[2, 0]);
         assert_eq!(sub.len(), 2);

@@ -144,7 +144,7 @@ fn april(r: ObjectRef<'_>, s: ObjectRef<'_>, scratch: &mut RelateScratch) -> Fin
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::object::SpatialObject;
+    use crate::arena::{one_row, DatasetArena};
     use crate::pipeline::find_relation;
     use stj_geom::{Polygon, Rect};
     use stj_obs::Disabled;
@@ -154,14 +154,14 @@ mod tests {
         Grid::new(Rect::from_coords(0.0, 0.0, 100.0, 100.0), 8)
     }
 
-    fn obj(x0: f64, y0: f64, x1: f64, y1: f64) -> SpatialObject {
-        SpatialObject::build(Polygon::rect(Rect::from_coords(x0, y0, x1, y1)), &grid())
+    fn obj(x0: f64, y0: f64, x1: f64, y1: f64) -> DatasetArena {
+        one_row(Polygon::rect(Rect::from_coords(x0, y0, x1, y1)), &grid())
     }
 
-    fn run(method: JoinMethod, r: &SpatialObject, s: &SpatialObject) -> FindOutcome {
+    fn run(method: JoinMethod, r: &DatasetArena, s: &DatasetArena) -> FindOutcome {
         method.find_relation(
-            r.view(),
-            s.view(),
+            r.object(0),
+            s.object(0),
             &mut PairCtx {
                 scratch: &mut RelateScratch::default(),
                 prof: &mut Disabled,
@@ -170,7 +170,7 @@ mod tests {
         )
     }
 
-    fn catalog() -> Vec<SpatialObject> {
+    fn catalog() -> Vec<DatasetArena> {
         vec![
             obj(0.0, 0.0, 50.0, 50.0),
             obj(10.0, 10.0, 30.0, 30.0),
@@ -179,11 +179,11 @@ mod tests {
             obj(60.0, 60.0, 90.0, 90.0),
             obj(25.0, 25.0, 75.0, 75.0),
             obj(0.0, 0.0, 25.0, 25.0),
-            SpatialObject::build(
+            one_row(
                 Polygon::from_coords(vec![(0.0, 0.0), (40.0, 0.0), (0.0, 40.0)], vec![]).unwrap(),
                 &grid(),
             ),
-            SpatialObject::build(
+            one_row(
                 Polygon::from_coords(
                     vec![(0.0, 40.0), (100.0, 40.0), (100.0, 60.0), (0.0, 60.0)],
                     vec![],
@@ -191,7 +191,7 @@ mod tests {
                 .unwrap(),
                 &grid(),
             ),
-            SpatialObject::build(
+            one_row(
                 Polygon::from_coords(
                     vec![(40.0, 0.0), (60.0, 0.0), (60.0, 100.0), (40.0, 100.0)],
                     vec![],
@@ -210,7 +210,7 @@ mod tests {
                 let expect = run(JoinMethod::St2, r, s).relation;
                 assert_eq!(run(JoinMethod::Op2, r, s).relation, expect);
                 assert_eq!(run(JoinMethod::April, r, s).relation, expect);
-                assert_eq!(find_relation(r.view(), s.view()).relation, expect);
+                assert_eq!(find_relation(r.object(0), s.object(0)).relation, expect);
             }
         }
     }
@@ -241,11 +241,11 @@ mod tests {
 
     #[test]
     fn april_detects_raster_disjoint_without_refinement() {
-        let t1 = SpatialObject::build(
+        let t1 = one_row(
             Polygon::from_coords(vec![(0.0, 0.0), (40.0, 0.0), (0.0, 40.0)], vec![]).unwrap(),
             &grid(),
         );
-        let t2 = SpatialObject::build(
+        let t2 = one_row(
             Polygon::from_coords(vec![(40.0, 40.0), (40.0, 39.0), (39.0, 40.0)], vec![]).unwrap(),
             &grid(),
         );
@@ -265,7 +265,7 @@ mod tests {
             Determination::Refinement
         );
         assert_eq!(
-            find_relation(inner.view(), outer.view()).determination,
+            find_relation(inner.object(0), outer.object(0)).determination,
             Determination::IntermediateFilter
         );
     }

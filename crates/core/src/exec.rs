@@ -3,7 +3,7 @@
 //! [`TopologyJoin`] is the high-level entry point a downstream system
 //! would use: configure the method (P+C or a baseline), optionally a
 //! single predicate (`relate_p` mode) and the thread count; run it over
-//! two preprocessed [`crate::Dataset`]s and get every non-disjoint
+//! two preprocessed [`crate::DatasetArena`]s and get every non-disjoint
 //! pair's relation plus aggregate statistics.
 //!
 //! # Execution
@@ -313,8 +313,7 @@ impl TopologyJoin {
         }
     }
 
-    /// Runs the join over two columnar arenas (owned datasets convert
-    /// via [`crate::Dataset::to_arena`]).
+    /// Runs the join over two columnar arenas.
     pub fn run(&self, left: &DatasetArena, right: &DatasetArena) -> JoinResult {
         self.stream(left, right, None)
     }
@@ -679,7 +678,7 @@ impl TopologyJoin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::object::Dataset;
+    use crate::DEFAULT_MAX_INTERVALS;
     use stj_geom::{Polygon, Rect};
     use stj_raster::Grid;
 
@@ -700,8 +699,8 @@ mod tests {
             })
             .collect();
         (
-            Dataset::build("L", lefts, &grid).to_arena(),
-            Dataset::build("R", rights, &grid).to_arena(),
+            DatasetArena::build("L", &lefts, &grid, DEFAULT_MAX_INTERVALS, 1),
+            DatasetArena::build("R", &rights, &grid, DEFAULT_MAX_INTERVALS, 1),
         )
     }
 
@@ -874,7 +873,7 @@ mod tests {
     #[test]
     fn empty_datasets_yield_empty_result() {
         let grid = Grid::new(Rect::from_coords(0.0, 0.0, 1.0, 1.0), 4);
-        let empty = Dataset::build("E", vec![], &grid).to_arena();
+        let empty = DatasetArena::build("E", &[], &grid, DEFAULT_MAX_INTERVALS, 1);
         let (l, _) = datasets();
         for (l, r) in [(&l, &empty), (&empty, &l)] {
             let out = TopologyJoin::new().run(l, r);

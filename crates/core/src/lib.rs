@@ -22,28 +22,25 @@
 //!   a pair to P+C or to one of the paper's comparison methods
 //!   ST2 / OP2 / APRIL ([`baselines`]);
 //! - [`TopologyJoin`] — the parallel streaming join over two datasets;
-//! - [`SpatialObject`] / [`Dataset`] — preprocessed join inputs.
+//! - [`DatasetArena`] — preprocessed join inputs, one row per object
+//!   ([`DatasetArena::build`] rasterizes polygons into it).
 //!
 //! # Example
 //!
 //! ```
-//! use stj_core::{find_relation, SpatialObject};
+//! use stj_core::{find_relation, DatasetArena, DEFAULT_MAX_INTERVALS};
 //! use stj_geom::{Polygon, Rect};
 //! use stj_raster::Grid;
 //! use stj_de9im::TopoRelation;
 //!
 //! let grid = Grid::new(Rect::from_coords(0.0, 0.0, 100.0, 100.0), 10);
-//! let park = SpatialObject::build(
-//!     Polygon::rect(Rect::from_coords(10.0, 10.0, 80.0, 80.0)),
-//!     &grid,
-//! );
-//! let lake = SpatialObject::build(
-//!     Polygon::rect(Rect::from_coords(30.0, 30.0, 50.0, 50.0)),
-//!     &grid,
-//! );
-//! // The pipeline consumes borrowed views — from owned objects here,
-//! // or from `DatasetArena` slots in batch joins.
-//! let out = find_relation(lake.view(), park.view());
+//! let polygons = [
+//!     Polygon::rect(Rect::from_coords(10.0, 10.0, 80.0, 80.0)), // park
+//!     Polygon::rect(Rect::from_coords(30.0, 30.0, 50.0, 50.0)), // lake
+//! ];
+//! let arena = DatasetArena::build("demo", &polygons, &grid, DEFAULT_MAX_INTERVALS, 1);
+//! // The pipeline consumes borrowed arena rows.
+//! let out = find_relation(arena.object(1), arena.object(0));
 //! assert_eq!(out.relation, TopoRelation::Inside);
 //! ```
 

@@ -1,17 +1,17 @@
-//! Join-ready spatial objects and datasets.
+//! Owned rows accepted by [`DatasetArena::from_dataset`](crate::DatasetArena::from_dataset).
+//!
+//! The pipeline has one object representation, the arena row
+//! ([`crate::ObjectRef`]); these records only carry already-built
+//! approximations (e.g. timed separately by a tracer) into an arena.
 
 use stj_geom::{Polygon, Rect};
-use stj_raster::{AprilApprox, Grid};
+use stj_raster::AprilApprox;
 
-/// A polygon packaged with the precomputed state the pipeline needs: its
-/// MBR and its APRIL approximation on the scenario grid.
-///
-/// Mirrors the paper's setting where MBRs and `P`/`C` interval lists are
-/// produced in a preprocessing step (once per object) and the geometry
-/// itself is only loaded when a pair reaches refinement.
+/// One polygon with its MBR and APRIL approximation on the scenario grid:
+/// the row record [`crate::DatasetArena::from_dataset`] appends.
 #[derive(Clone, Debug)]
 pub struct SpatialObject {
-    /// The exact geometry (used only by the refinement step).
+    /// The exact geometry.
     pub polygon: Polygon,
     /// Minimum bounding rectangle.
     pub mbr: Rect,
@@ -26,27 +26,9 @@ pub struct SpatialObject {
 pub const DEFAULT_MAX_INTERVALS: usize = 4096;
 
 impl SpatialObject {
-    /// Preprocesses one polygon on `grid`, capping the approximation at
-    /// [`DEFAULT_MAX_INTERVALS`] intervals per list.
-    pub fn build(polygon: Polygon, grid: &Grid) -> SpatialObject {
-        SpatialObject::build_with_budget(polygon, grid, DEFAULT_MAX_INTERVALS)
-    }
-
-    /// Preprocesses one polygon with an explicit interval budget
-    /// (`usize::MAX` keeps the full-resolution approximation).
-    pub fn build_with_budget(polygon: Polygon, grid: &Grid, max_intervals: usize) -> SpatialObject {
-        let mbr = *polygon.mbr();
-        let april = AprilApprox::build_capped(&polygon, grid, max_intervals);
-        SpatialObject {
-            polygon,
-            mbr,
-            april,
-        }
-    }
-
-    /// Assembles an object from an already-built approximation (e.g.
-    /// loaded from storage). The approximation must have been built for
-    /// this polygon on the scenario grid; this is not re-verified.
+    /// Assembles a row from an already-built approximation. The
+    /// approximation must have been built for this polygon on the
+    /// scenario grid; this is not re-verified.
     pub fn from_parts(polygon: Polygon, april: AprilApprox) -> SpatialObject {
         let mbr = *polygon.mbr();
         SpatialObject {
@@ -55,206 +37,13 @@ impl SpatialObject {
             april,
         }
     }
-
-    /// Vertex count (the paper's complexity measure).
-    #[inline]
-    pub fn num_vertices(&self) -> usize {
-        self.polygon.num_vertices()
-    }
 }
 
-/// A named collection of preprocessed objects sharing one grid.
+/// A named list of rows sharing one grid.
 #[derive(Clone, Debug)]
 pub struct Dataset {
     /// Scenario-unique dataset name (e.g. `"OLE"`).
     pub name: String,
-    /// The preprocessed objects.
+    /// The rows, in object-id order.
     pub objects: Vec<SpatialObject>,
-}
-
-impl Dataset {
-    /// Preprocesses `polygons` into a dataset, sequentially, with the
-    /// default interval budget.
-    pub fn build(name: impl Into<String>, polygons: Vec<Polygon>, grid: &Grid) -> Dataset {
-        Dataset::build_with_budget(name, polygons, grid, DEFAULT_MAX_INTERVALS)
-    }
-
-    /// Preprocesses `polygons` sequentially with an explicit per-list
-    /// interval budget (see [`DEFAULT_MAX_INTERVALS`]): tight budgets
-    /// suit coverage datasets whose pairs are cheap to refine; generous
-    /// budgets preserve filter power for complex-object datasets.
-    pub fn build_with_budget(
-        name: impl Into<String>,
-        polygons: Vec<Polygon>,
-        grid: &Grid,
-        max_intervals: usize,
-    ) -> Dataset {
-        Dataset {
-            name: name.into(),
-            objects: polygons
-                .into_iter()
-                .map(|p| SpatialObject::build_with_budget(p, grid, max_intervals))
-                .collect(),
-        }
-    }
-
-    /// Preprocesses `polygons` with a scoped thread pool — APRIL
-    /// construction dominates dataset preparation and parallelizes
-    /// perfectly across objects.
-    pub fn build_parallel(
-        name: impl Into<String>,
-        polygons: Vec<Polygon>,
-        grid: &Grid,
-        threads: usize,
-    ) -> Dataset {
-        Dataset::build_parallel_with_budget(name, polygons, grid, threads, DEFAULT_MAX_INTERVALS)
-    }
-
-    /// [`Dataset::build_parallel`] with an explicit interval budget.
-    pub fn build_parallel_with_budget(
-        name: impl Into<String>,
-        polygons: Vec<Polygon>,
-        grid: &Grid,
-        threads: usize,
-        max_intervals: usize,
-    ) -> Dataset {
-        let threads = threads.max(1);
-        if threads == 1 || polygons.len() < 64 {
-            return Dataset::build_with_budget(name, polygons, grid, max_intervals);
-        }
-        let n = polygons.len();
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let mut slots: Vec<Option<SpatialObject>> = vec![None; n];
-        let slot_chunks = std::sync::Mutex::new(&mut slots);
-        // Index-claiming workers writing into disjoint slots.
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                let next = &next;
-                let polygons = &polygons;
-                let slot_chunks = &slot_chunks;
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let obj =
-                        SpatialObject::build_with_budget(polygons[i].clone(), grid, max_intervals);
-                    // Slot writes are disjoint; the mutex only guards the
-                    // aliasing, not contention-heavy state.
-                    slot_chunks.lock().unwrap()[i] = Some(obj);
-                });
-            }
-        });
-        Dataset {
-            name: name.into(),
-            objects: slots.into_iter().map(|s| s.expect("slot filled")).collect(),
-        }
-    }
-
-    /// Number of objects.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.objects.len()
-    }
-
-    /// Whether the dataset is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.objects.is_empty()
-    }
-
-    /// The MBRs of all objects, in order (input to the MBR join).
-    pub fn mbrs(&self) -> Vec<Rect> {
-        self.objects.iter().map(|o| o.mbr).collect()
-    }
-
-    /// Tight bounding rectangle of the whole dataset.
-    pub fn extent(&self) -> Rect {
-        let mut r = Rect::empty();
-        for o in &self.objects {
-            r.grow_rect(&o.mbr);
-        }
-        r
-    }
-
-    /// Storage accounting for the paper's Table 2, in bytes:
-    /// `(polygon bytes, MBR bytes, P+C bytes)`.
-    pub fn storage_bytes(&self) -> (usize, usize, usize) {
-        let poly: usize = self
-            .objects
-            .iter()
-            .map(|o| o.polygon.serialized_bytes())
-            .sum();
-        let mbr = self.objects.len() * Rect::SERIALIZED_BYTES;
-        let april: usize = self
-            .objects
-            .iter()
-            .map(|o| o.april.serialized_bytes())
-            .sum();
-        (poly, mbr, april)
-    }
-
-    /// Total vertex count across all objects.
-    pub fn total_vertices(&self) -> usize {
-        self.objects.iter().map(SpatialObject::num_vertices).sum()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn polys() -> Vec<Polygon> {
-        (0..100)
-            .map(|i| {
-                let x = f64::from(i % 10) * 10.0;
-                let y = f64::from(i / 10) * 10.0;
-                Polygon::rect(Rect::from_coords(x + 1.0, y + 1.0, x + 8.0, y + 8.0))
-            })
-            .collect()
-    }
-
-    fn grid() -> Grid {
-        Grid::new(Rect::from_coords(0.0, 0.0, 100.0, 100.0), 8)
-    }
-
-    #[test]
-    fn build_preprocesses_everything() {
-        let g = grid();
-        let ds = Dataset::build("T", polys(), &g);
-        assert_eq!(ds.len(), 100);
-        assert!(!ds.is_empty());
-        for o in &ds.objects {
-            assert!(!o.april.c.is_empty());
-            assert_eq!(o.mbr, *o.polygon.mbr());
-        }
-        assert_eq!(ds.mbrs().len(), 100);
-        assert_eq!(ds.total_vertices(), 400);
-        let (poly_b, mbr_b, april_b) = ds.storage_bytes();
-        assert_eq!(poly_b, 400 * 16);
-        assert_eq!(mbr_b, 100 * 32);
-        assert!(april_b > 0);
-    }
-
-    #[test]
-    fn parallel_build_matches_sequential() {
-        let g = grid();
-        let seq = Dataset::build("T", polys(), &g);
-        let par = Dataset::build_parallel("T", polys(), &g, 4);
-        assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.objects.iter().zip(&par.objects) {
-            assert_eq!(a.mbr, b.mbr);
-            assert_eq!(a.april, b.april);
-        }
-    }
-
-    #[test]
-    fn extent_covers_all() {
-        let g = grid();
-        let ds = Dataset::build("T", polys(), &g);
-        let e = ds.extent();
-        for o in &ds.objects {
-            assert!(e.contains_rect(&o.mbr));
-        }
-    }
 }

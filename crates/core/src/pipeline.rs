@@ -248,7 +248,7 @@ impl PipelineStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::object::SpatialObject;
+    use crate::arena::{one_row, DatasetArena};
     use stj_geom::{Polygon, Rect};
     use stj_raster::Grid;
 
@@ -256,15 +256,15 @@ mod tests {
         Grid::new(Rect::from_coords(0.0, 0.0, 100.0, 100.0), 8)
     }
 
-    fn obj(x0: f64, y0: f64, x1: f64, y1: f64) -> SpatialObject {
-        SpatialObject::build(Polygon::rect(Rect::from_coords(x0, y0, x1, y1)), &grid())
+    fn obj(x0: f64, y0: f64, x1: f64, y1: f64) -> DatasetArena {
+        one_row(Polygon::rect(Rect::from_coords(x0, y0, x1, y1)), &grid())
     }
 
     #[test]
     fn disjoint_mbrs_decided_by_mbr_filter() {
         let a = obj(0.0, 0.0, 10.0, 10.0);
         let b = obj(50.0, 50.0, 60.0, 60.0);
-        let out = find_relation(a.view(), b.view());
+        let out = find_relation(a.object(0), b.object(0));
         assert_eq!(out.relation, TopoRelation::Disjoint);
         assert_eq!(out.determination, Determination::MbrFilter);
     }
@@ -273,7 +273,7 @@ mod tests {
     fn crossing_mbrs_decided_by_mbr_filter() {
         let wide = obj(0.0, 40.0, 100.0, 60.0);
         let tall = obj(40.0, 0.0, 60.0, 100.0);
-        let out = find_relation(wide.view(), tall.view());
+        let out = find_relation(wide.object(0), tall.object(0));
         assert_eq!(out.relation, TopoRelation::Intersects);
         assert_eq!(out.determination, Determination::MbrFilter);
     }
@@ -282,10 +282,10 @@ mod tests {
     fn deep_containment_decided_by_intermediate_filter() {
         let outer = obj(0.0, 0.0, 90.0, 90.0);
         let inner = obj(40.0, 40.0, 50.0, 50.0);
-        let out = find_relation(inner.view(), outer.view());
+        let out = find_relation(inner.object(0), outer.object(0));
         assert_eq!(out.relation, TopoRelation::Inside);
         assert_eq!(out.determination, Determination::IntermediateFilter);
-        let out2 = find_relation(outer.view(), inner.view());
+        let out2 = find_relation(outer.object(0), inner.object(0));
         assert_eq!(out2.relation, TopoRelation::Contains);
         assert_eq!(out2.determination, Determination::IntermediateFilter);
     }
@@ -295,7 +295,7 @@ mod tests {
         // Big overlap: C of one overlaps P of the other.
         let a = obj(0.0, 0.0, 60.0, 60.0);
         let b = obj(30.0, 30.0, 90.0, 90.0);
-        let out = find_relation(a.view(), b.view());
+        let out = find_relation(a.object(0), b.object(0));
         assert_eq!(out.relation, TopoRelation::Intersects);
         assert_eq!(out.determination, Determination::IntermediateFilter);
     }
@@ -303,15 +303,15 @@ mod tests {
     #[test]
     fn raster_disjoint_decided_by_intermediate_filter() {
         // MBRs overlap, bodies (and rasters) far apart within them.
-        let a = SpatialObject::build(
+        let a = one_row(
             Polygon::from_coords(vec![(0.0, 0.0), (40.0, 0.0), (0.0, 40.0)], vec![]).unwrap(),
             &grid(),
         );
-        let b = SpatialObject::build(
+        let b = one_row(
             Polygon::from_coords(vec![(40.0, 40.0), (40.0, 39.0), (39.0, 40.0)], vec![]).unwrap(),
             &grid(),
         );
-        let out = find_relation(a.view(), b.view());
+        let out = find_relation(a.object(0), b.object(0));
         assert_eq!(out.relation, TopoRelation::Disjoint);
         assert_eq!(out.determination, Determination::IntermediateFilter);
     }
@@ -322,7 +322,7 @@ mod tests {
         // gap; refinement must resolve it.
         let a = obj(0.0, 0.0, 50.0, 50.0);
         let b = obj(50.0, 0.0, 90.0, 50.0);
-        let out = find_relation(a.view(), b.view());
+        let out = find_relation(a.object(0), b.object(0));
         assert_eq!(out.relation, TopoRelation::Meets);
         assert_eq!(out.determination, Determination::Refinement);
     }
@@ -331,7 +331,7 @@ mod tests {
     fn equal_pair_requires_refinement_but_is_correct() {
         let a = obj(10.0, 10.0, 60.0, 60.0);
         let b = obj(10.0, 10.0, 60.0, 60.0);
-        let out = find_relation(a.view(), b.view());
+        let out = find_relation(a.object(0), b.object(0));
         assert_eq!(out.relation, TopoRelation::Equals);
         assert_eq!(out.determination, Determination::Refinement);
     }
@@ -340,13 +340,13 @@ mod tests {
     fn covered_by_with_equal_mbrs() {
         // b fills a's full extent; a is a diagonal-ish slice covered by b.
         let b = obj(0.0, 0.0, 60.0, 60.0);
-        let a = SpatialObject::build(
+        let a = one_row(
             Polygon::from_coords(vec![(0.0, 0.0), (60.0, 0.0), (60.0, 60.0)], vec![]).unwrap(),
             &grid(),
         );
-        let out = find_relation(a.view(), b.view());
+        let out = find_relation(a.object(0), b.object(0));
         assert_eq!(out.relation, TopoRelation::CoveredBy);
-        let out2 = find_relation(b.view(), a.view());
+        let out2 = find_relation(b.object(0), a.object(0));
         assert_eq!(out2.relation, TopoRelation::Covers);
     }
 
@@ -356,9 +356,9 @@ mod tests {
         let a = obj(0.0, 0.0, 10.0, 10.0);
         let b = obj(50.0, 50.0, 60.0, 60.0);
         let c = obj(2.0, 2.0, 8.0, 8.0);
-        st.record(find_relation(a.view(), b.view()).determination); // mbr
-        st.record(find_relation(c.view(), a.view()).determination); // intermediate (deep inside)
-        st.record(find_relation(a.view(), a.view()).determination); // refinement (equals)
+        st.record(find_relation(a.object(0), b.object(0)).determination); // mbr
+        st.record(find_relation(c.object(0), a.object(0)).determination); // intermediate (deep inside)
+        st.record(find_relation(a.object(0), a.object(0)).determination); // refinement (equals)
         assert_eq!(st.pairs, 3);
         assert_eq!(st.by_mbr, 1);
         assert_eq!(st.by_intermediate, 1);
@@ -390,10 +390,10 @@ mod tests {
         let mut rec = Recorder::default();
         for index in 0..220 {
             let pair = adversarial_pair(0xF01D, index);
-            let a = SpatialObject::build(pair.a, &grid);
-            let b = SpatialObject::build(pair.b, &grid);
+            let a = one_row(pair.a, &grid);
+            let b = one_row(pair.b, &grid);
             for (r, s) in [(&a, &b), (&b, &a)] {
-                let (r, s) = (r.view(), s.view());
+                let (r, s) = (r.object(0), s.object(0));
                 let want = find_relation(r, s);
                 for adaptive in [None, Some(&mut on_worker), Some(&mut skip_worker)] {
                     let gated = adaptive.is_some();

@@ -185,7 +185,7 @@ pub fn relate_p_with<P: Profiler>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::object::SpatialObject;
+    use crate::arena::{one_row, DatasetArena};
     use stj_de9im::relate;
     use stj_geom::{Polygon, Rect};
     use stj_raster::Grid;
@@ -195,13 +195,13 @@ mod tests {
         Grid::new(Rect::from_coords(0.0, 0.0, 100.0, 100.0), 8)
     }
 
-    fn obj(x0: f64, y0: f64, x1: f64, y1: f64) -> SpatialObject {
-        SpatialObject::build(Polygon::rect(Rect::from_coords(x0, y0, x1, y1)), &grid())
+    fn obj(x0: f64, y0: f64, x1: f64, y1: f64) -> DatasetArena {
+        one_row(Polygon::rect(Rect::from_coords(x0, y0, x1, y1)), &grid())
     }
 
     /// Oracle: full relate + relation semantics.
-    fn oracle(r: &SpatialObject, s: &SpatialObject, p: TopoRelation) -> bool {
-        p.holds(&relate(&r.polygon, &s.polygon))
+    fn oracle(r: &DatasetArena, s: &DatasetArena, p: TopoRelation) -> bool {
+        p.holds(&relate(&r.object(0).geom, &s.object(0).geom))
     }
 
     const ALL: [TopoRelation; 8] = [
@@ -222,7 +222,7 @@ mod tests {
         for (i, r) in objects.iter().enumerate() {
             for (j, s) in objects.iter().enumerate() {
                 for p in ALL {
-                    let got = relate_p(r.view(), s.view(), p);
+                    let got = relate_p(r.object(0), s.object(0), p);
                     assert_eq!(got.holds, oracle(r, s, p), "pair ({i},{j}) predicate {p:?}");
                 }
             }
@@ -235,7 +235,7 @@ mod tests {
         let big = obj(0.0, 0.0, 50.0, 50.0);
         // small's MBR is inside big's: contains/covers/equals impossible.
         for p in [Contains, Covers, Equals] {
-            let out = relate_p(small.view(), big.view(), p);
+            let out = relate_p(small.object(0), big.object(0), p);
             assert!(!out.holds);
             assert_eq!(out.determination, Determination::MbrFilter, "{p:?}");
         }
@@ -245,10 +245,10 @@ mod tests {
     fn cross_mbrs_answer_from_mbr_alone() {
         let wide = obj(0.0, 40.0, 100.0, 60.0);
         let tall = obj(40.0, 0.0, 60.0, 100.0);
-        let out = relate_p(wide.view(), tall.view(), Intersects);
+        let out = relate_p(wide.object(0), tall.object(0), Intersects);
         assert!(out.holds);
         assert_eq!(out.determination, Determination::MbrFilter);
-        let out = relate_p(wide.view(), tall.view(), Meets);
+        let out = relate_p(wide.object(0), tall.object(0), Meets);
         assert!(!out.holds);
         assert_eq!(out.determination, Determination::MbrFilter);
     }
@@ -257,7 +257,7 @@ mod tests {
     fn meets_refuted_cheaply_for_clear_overlaps() {
         let a = obj(0.0, 0.0, 60.0, 60.0);
         let b = obj(30.0, 30.0, 90.0, 90.0);
-        let out = relate_p(a.view(), b.view(), Meets);
+        let out = relate_p(a.object(0), b.object(0), Meets);
         assert!(!out.holds);
         assert_eq!(out.determination, Determination::IntermediateFilter);
     }
@@ -267,12 +267,12 @@ mod tests {
         let outer = obj(0.0, 0.0, 90.0, 90.0);
         let inner = obj(40.0, 40.0, 50.0, 50.0);
         for p in [Inside, CoveredBy] {
-            let out = relate_p(inner.view(), outer.view(), p);
+            let out = relate_p(inner.object(0), outer.object(0), p);
             assert!(out.holds, "{p:?}");
             assert_eq!(out.determination, Determination::IntermediateFilter);
         }
         for p in [Contains, Covers] {
-            let out = relate_p(outer.view(), inner.view(), p);
+            let out = relate_p(outer.object(0), inner.object(0), p);
             assert!(out.holds, "{p:?}");
             assert_eq!(out.determination, Determination::IntermediateFilter);
         }
@@ -282,7 +282,7 @@ mod tests {
     fn equals_refuted_by_differing_lists() {
         // Same MBR, different footprints.
         let square = obj(0.0, 0.0, 60.0, 60.0);
-        let tri = SpatialObject::build(
+        let tri = one_row(
             Polygon::from_coords(
                 vec![
                     (0.0, 0.0),
@@ -299,7 +299,7 @@ mod tests {
             .unwrap(),
             &grid(),
         );
-        let out = relate_p(square.view(), tri.view(), Equals);
+        let out = relate_p(square.object(0), tri.object(0), Equals);
         assert!(!out.holds);
         assert_eq!(out.determination, Determination::IntermediateFilter);
     }
@@ -308,7 +308,7 @@ mod tests {
     fn equals_needs_refinement_when_lists_match() {
         let a = obj(0.0, 0.0, 60.0, 60.0);
         let b = obj(0.0, 0.0, 60.0, 60.0);
-        let out = relate_p(a.view(), b.view(), Equals);
+        let out = relate_p(a.object(0), b.object(0), Equals);
         assert!(out.holds);
         assert_eq!(out.determination, Determination::Refinement);
     }
@@ -317,20 +317,20 @@ mod tests {
     fn disjoint_predicate_paths() {
         let a = obj(0.0, 0.0, 10.0, 10.0);
         let far = obj(50.0, 50.0, 60.0, 60.0);
-        let out = relate_p(a.view(), far.view(), Disjoint);
+        let out = relate_p(a.object(0), far.object(0), Disjoint);
         assert!(out.holds);
         assert_eq!(out.determination, Determination::MbrFilter);
 
         // Bodies near but separate with overlapping MBRs.
-        let t1 = SpatialObject::build(
+        let t1 = one_row(
             Polygon::from_coords(vec![(0.0, 0.0), (40.0, 0.0), (0.0, 40.0)], vec![]).unwrap(),
             &grid(),
         );
-        let t2 = SpatialObject::build(
+        let t2 = one_row(
             Polygon::from_coords(vec![(40.0, 40.0), (40.0, 39.0), (39.0, 40.0)], vec![]).unwrap(),
             &grid(),
         );
-        let out = relate_p(t1.view(), t2.view(), Disjoint);
+        let out = relate_p(t1.object(0), t2.object(0), Disjoint);
         assert!(out.holds);
         assert_eq!(out.determination, Determination::IntermediateFilter);
     }

@@ -212,7 +212,7 @@ pub fn external_join(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::object::Dataset;
+    use crate::DEFAULT_MAX_INTERVALS;
     use stj_geom::Polygon;
 
     fn grid() -> Grid {
@@ -242,8 +242,7 @@ mod tests {
     #[test]
     fn partition_is_disjoint_exhaustive_and_balanced() {
         let polys = scatter(7, 103);
-        let ds = Dataset::build("t", polys, &grid());
-        let arena = ds.to_arena();
+        let arena = DatasetArena::build("t", &polys, &grid(), DEFAULT_MAX_INTERVALS, 1);
         for n in [1usize, 2, 4, 16, 103, 500] {
             let shards = hilbert_partition(arena.mbrs(), &grid(), n);
             assert_eq!(shards.len(), n.min(103));
@@ -269,8 +268,7 @@ mod tests {
     #[test]
     fn external_self_join_matches_single_arena() {
         let polys = scatter(42, 160);
-        let ds = Dataset::build("t", polys, &grid());
-        let arena = ds.to_arena();
+        let arena = DatasetArena::build("t", &polys, &grid(), DEFAULT_MAX_INTERVALS, 1);
         let join = TopologyJoin::new();
         let mut single = join.run(&arena, &arena);
         single.links.sort_unstable_by_key(|l| (l.r, l.s));
@@ -304,8 +302,8 @@ mod tests {
 
     #[test]
     fn external_join_two_datasets_matches() {
-        let a = Dataset::build("a", scatter(1, 90), &grid()).to_arena();
-        let b = Dataset::build("b", scatter(2, 110), &grid()).to_arena();
+        let a = DatasetArena::build("a", &scatter(1, 90), &grid(), DEFAULT_MAX_INTERVALS, 1);
+        let b = DatasetArena::build("b", &scatter(2, 110), &grid(), DEFAULT_MAX_INTERVALS, 1);
         let join = TopologyJoin::new();
         let mut single = join.run(&a, &b);
         single.links.sort_unstable_by_key(|l| (l.r, l.s));

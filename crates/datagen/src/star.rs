@@ -7,9 +7,10 @@
 //! footprint), and irregularity/spikiness parameters let a scenario mimic
 //! smooth lakes versus jagged park boundaries.
 
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::f64::consts::TAU;
-use stj_geom::{Point, Polygon, Ring};
+use stj_geom::{Location, Point, Polygon, Ring};
 
 /// Parameters of a star polygon.
 #[derive(Clone, Copy, Debug)]
@@ -37,9 +38,13 @@ pub fn star_polygon<R: Rng>(rng: &mut R, params: &StarParams) -> Polygon {
     Polygon::new(ring, Vec::new())
 }
 
-/// Generates a star polygon with `num_holes` small star holes placed
-/// safely inside it (hole radius bounded by a fraction of the minimum
-/// outer radius, so holes never cross the outer ring).
+/// Draws per hole before [`star_polygon_with_holes`] drops it.
+const HOLE_ATTEMPTS: usize = 8;
+
+/// Generates a star polygon with up to `num_holes` small star holes
+/// placed inside it: each hole is kept off the outer ring and off the
+/// other holes, so the polygon is valid, and a hole that finds no room
+/// in a bounded number of draws is left out.
 pub fn star_polygon_with_holes<R: Rng>(
     rng: &mut R,
     params: &StarParams,
@@ -49,26 +54,74 @@ pub fn star_polygon_with_holes<R: Rng>(
     let min_radius = params.avg_radius * (1.0 - params.spikiness).max(0.05);
     let outer = star_ring(rng, params);
     let mut holes = Vec::with_capacity(num_holes);
+    let mut discs: Vec<(Point, f64)> = Vec::with_capacity(num_holes);
     for _ in 0..num_holes {
-        // Keep holes in a disc around the center small enough that
-        // hole_center_dist + hole_max_radius < min outer radius.
-        let hole_r = min_radius * rng.gen_range(0.08..0.2);
-        let max_off = (min_radius - hole_r * 1.5).max(0.0) * 0.5;
-        let ang = rng.gen_range(0.0..TAU);
-        let off = rng.gen_range(0.0..=max_off);
-        let hp = StarParams {
-            center: Point::new(
-                params.center.x + off * ang.cos(),
-                params.center.y + off * ang.sin(),
-            ),
-            avg_radius: hole_r,
-            irregularity: 0.3,
-            spikiness: 0.2,
-            num_vertices: hole_vertices.max(3),
+        // A hole ring lies within 1.2 × its average radius (spikiness
+        // 0.2); with 1.25 for rounding, a hole whose disc of that radius
+        // stays off the shell's edges and off the other holes' discs
+        // crosses neither.
+        let fits = |&(c, r): &(Point, f64)| {
+            outer.locate(c) == Location::Inside
+                && outer.edges().all(|e| seg_dist(c, e.a, e.b) > 1.25 * r)
+                && discs.iter().all(|&(d, s)| c.dist(d) > 1.25 * (r + s))
         };
-        holes.push(star_ring(rng, &hp));
+        let first = hole_disc(rng, params.center, min_radius);
+        let disc = if fits(&first) {
+            Some(first)
+        } else {
+            // Redraws come from their own generator, seeded by the first
+            // draw, and the ring below is drawn from `rng` even for a
+            // dropped hole: `rng` advances exactly as when the first
+            // draw fits, so the polygons drawn after this one do not
+            // change.
+            let seed =
+                first.0.x.to_bits() ^ first.0.y.to_bits().rotate_left(17) ^ first.1.to_bits();
+            let mut redraw = StdRng::seed_from_u64(seed);
+            (1..HOLE_ATTEMPTS)
+                .map(|_| hole_disc(&mut redraw, params.center, min_radius))
+                .find(fits)
+        };
+        let (center, avg_radius) = disc.unwrap_or(first);
+        let ring = star_ring(
+            rng,
+            &StarParams {
+                center,
+                avg_radius,
+                irregularity: 0.3,
+                spikiness: 0.2,
+                num_vertices: hole_vertices.max(3),
+            },
+        );
+        if disc.is_some() {
+            discs.push((center, avg_radius));
+            holes.push(ring);
+        }
     }
     Polygon::new(outer, holes)
+}
+
+/// A hole's `(center, average radius)`, in a disc around `center` small
+/// enough that hole_center_dist + hole_max_radius < `min_radius`, the
+/// outer ring's minimum radius.
+fn hole_disc<R: Rng>(rng: &mut R, center: Point, min_radius: f64) -> (Point, f64) {
+    let hole_r = min_radius * rng.gen_range(0.08..0.2);
+    let max_off = (min_radius - hole_r * 1.5).max(0.0) * 0.5;
+    let ang = rng.gen_range(0.0..TAU);
+    let off = rng.gen_range(0.0..=max_off);
+    let c = Point::new(center.x + off * ang.cos(), center.y + off * ang.sin());
+    (c, hole_r)
+}
+
+/// Distance from `p` to the segment `ab`.
+fn seg_dist(p: Point, a: Point, b: Point) -> f64 {
+    let (dx, dy) = (b.x - a.x, b.y - a.y);
+    let len2 = dx * dx + dy * dy;
+    let t = if len2 > 0.0 {
+        (((p.x - a.x) * dx + (p.y - a.y) * dy) / len2).clamp(0.0, 1.0)
+    } else {
+        0.0
+    };
+    p.dist(Point::new(a.x + t * dx, a.y + t * dy))
 }
 
 fn star_ring<R: Rng>(rng: &mut R, params: &StarParams) -> Ring {
@@ -183,7 +236,8 @@ mod tests {
                 2,
                 8,
             );
-            assert_eq!(p.holes().len(), 2);
+            // A hole with no room apart from the other is left out.
+            assert!((1..=2).contains(&p.holes().len()));
             // Hole vertices must be strictly inside the outer ring.
             for h in p.holes() {
                 for v in h.vertices() {
@@ -193,6 +247,42 @@ mod tests {
             // Area accounting is consistent.
             let holes_area: f64 = p.holes().iter().map(|h| h.area()).sum();
             assert!((p.area() - (p.outer().area() - holes_area)).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn holed_stars_are_valid() {
+        // Holes are kept off the shell and apart, so every draw is a
+        // valid polygon (crossing holes used to fail 88 of the 200 draws
+        // at these parameters).
+        let mut r = rng(0x401E);
+        for k in 0..200 {
+            let holes = 1 + k % 3;
+            // Few-vertex shells (as `parks()` draws) cut deep inside
+            // their minimum radius.
+            let shell = StarParams {
+                center: Point::new(50.0, 50.0),
+                avg_radius: 35.0,
+                irregularity: 0.5,
+                spikiness: 0.4,
+                num_vertices: 4 + k % 9,
+            };
+            let p = star_polygon_with_holes(&mut r, &shell, 2, 8);
+            assert_eq!(stj_geom::validate_polygon(&p), Ok(()), "shell draw {k}");
+            let p = star_polygon_with_holes(
+                &mut r,
+                &StarParams {
+                    center: Point::new(50.0, 50.0),
+                    avg_radius: 35.0,
+                    irregularity: 0.5,
+                    spikiness: 0.4,
+                    num_vertices: 30,
+                },
+                holes,
+                6,
+            );
+            assert_eq!(stj_geom::validate_polygon(&p), Ok(()), "draw {k}");
+            assert!((1..=holes).contains(&p.holes().len()), "draw {k}");
         }
     }
 

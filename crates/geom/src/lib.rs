@@ -53,4 +53,4 @@ pub use sweep::{
     boundary_pairs, boundary_pairs_into, located_boundary_pairs_into, EdgePairHit, SweepScratch,
 };
 pub use validate::{validate_polygon, validate_ring, ValidityError};
-pub use view::{GeomRef, PolyView};
+pub use view::PolyView;

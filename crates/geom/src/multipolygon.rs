@@ -57,7 +57,9 @@ pub trait Areal {
     fn locate(&self, p: Point) -> Location;
     /// Appends one strictly-interior point per connected interior
     /// component to `out`, computing through the caller's scratch
-    /// buffers. The hot-path entry used by the relate scratch arena.
+    /// buffers; a component with no detectable interior (a degenerate
+    /// sliver) contributes none. The hot-path entry used by the relate
+    /// scratch arena.
     fn collect_interior_points(&self, scratch: &mut InteriorScratch, out: &mut Vec<Point>);
     /// One strictly-interior point per connected interior component.
     /// Allocating convenience over [`collect_interior_points`](Self::collect_interior_points).
@@ -87,10 +89,9 @@ impl Areal for Polygon {
     }
 
     fn collect_interior_points(&self, scratch: &mut InteriorScratch, out: &mut Vec<Point>) {
-        out.push(
-            try_interior_point_with(self, scratch)
-                .expect("interior_point: polygon has no detectable interior"),
-        );
+        // A degenerate sliver has no detectable interior: push nothing,
+        // as arena rows with the NaN interior sentinel do.
+        out.extend(try_interior_point_with(self, scratch));
     }
 
     fn num_vertices(&self) -> usize {

@@ -315,12 +315,6 @@ impl Polygon {
             }
         }
     }
-
-    /// Serialized size in bytes (vertex data as pairs of f64), used by the
-    /// Table 2 storage accounting.
-    pub fn serialized_bytes(&self) -> usize {
-        self.num_vertices * 16
-    }
 }
 
 #[cfg(test)]
@@ -488,7 +482,6 @@ mod tests {
         .unwrap();
         assert_eq!(p.area(), 100.0 - 4.0);
         assert_eq!(p.num_vertices(), 8);
-        assert_eq!(p.serialized_bytes(), 8 * 16);
     }
 
     #[test]

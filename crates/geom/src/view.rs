@@ -3,14 +3,15 @@
 //! A [`PolyView`] is the zero-copy counterpart of [`Polygon`]: instead of
 //! owning its rings it borrows slices of a dataset-wide vertex pool plus a
 //! ring-offset table, so an arena can hand out `Copy`-able geometry
-//! handles without allocating. [`GeomRef`] unifies both representations
-//! behind one `Copy` type implementing [`Areal`], letting the DE-9IM
-//! refinement run unchanged on owned and pooled geometry.
+//! handles without allocating. It implements [`Areal`], so the DE-9IM
+//! refinement runs on it exactly as on an owned [`Polygon`].
 
 use crate::interior_point::InteriorScratch;
 use crate::multipolygon::Areal;
 use crate::point::Point;
-use crate::polygon::{locate_in_ring, Location, Polygon};
+#[cfg(doc)]
+use crate::polygon::Polygon;
+use crate::polygon::{locate_in_ring, Location};
 use crate::rect::Rect;
 
 /// A borrowed polygon: ring vertex slices carved out of a shared vertex
@@ -141,61 +142,11 @@ impl Areal for PolyView<'_> {
     }
 }
 
-/// A `Copy` handle to either an owned [`Polygon`] or a pooled
-/// [`PolyView`], dispatching [`Areal`] to whichever it holds.
-///
-/// This is what object views carry through the join pipeline: owned
-/// datasets and columnar arenas produce the same `GeomRef`-bearing views,
-/// so the refinement stage has a single code path.
-#[derive(Clone, Copy, Debug)]
-pub enum GeomRef<'a> {
-    /// Borrowed owned polygon (build-time `Dataset` path).
-    Poly(&'a Polygon),
-    /// Borrowed columnar view (arena path).
-    View(PolyView<'a>),
-}
-
-impl Areal for GeomRef<'_> {
-    fn mbr(&self) -> Rect {
-        match self {
-            GeomRef::Poly(p) => *p.mbr(),
-            GeomRef::View(v) => *v.mbr(),
-        }
-    }
-
-    fn for_each_ring(&self, f: &mut dyn FnMut(&[Point])) {
-        match self {
-            GeomRef::Poly(p) => p.for_each_ring(f),
-            GeomRef::View(v) => v.for_each_ring(f),
-        }
-    }
-
-    fn locate(&self, p: Point) -> Location {
-        match self {
-            GeomRef::Poly(poly) => poly.locate(p),
-            GeomRef::View(v) => v.locate(p),
-        }
-    }
-
-    fn collect_interior_points(&self, scratch: &mut InteriorScratch, out: &mut Vec<Point>) {
-        match self {
-            GeomRef::Poly(p) => p.collect_interior_points(scratch, out),
-            GeomRef::View(v) => v.collect_interior_points(scratch, out),
-        }
-    }
-
-    fn num_vertices(&self) -> usize {
-        match self {
-            GeomRef::Poly(p) => p.num_vertices(),
-            GeomRef::View(v) => v.num_vertices(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::interior_point::interior_point;
+    use crate::polygon::Polygon;
 
     /// Flattens a polygon into pool columns and returns a view over them.
     fn columns(p: &Polygon) -> (Vec<Point>, Vec<u64>, Rect, Point) {
@@ -258,18 +209,5 @@ mod tests {
         let (verts, offs, mbr, _) = columns(&p);
         let v = PolyView::new(&verts, &offs, mbr, Point::new(f64::NAN, f64::NAN));
         assert!(Areal::interior_points(&v).is_empty());
-    }
-
-    #[test]
-    fn geom_ref_dispatches_both_ways() {
-        let p = holed();
-        let (verts, offs, mbr, ip) = columns(&p);
-        let v = PolyView::new(&verts, &offs, mbr, ip);
-        let owned = GeomRef::Poly(&p);
-        let pooled = GeomRef::View(v);
-        let pt = Point::new(2.0, 2.0);
-        assert_eq!(Areal::locate(&owned, pt), Areal::locate(&pooled, pt));
-        assert_eq!(Areal::mbr(&owned), Areal::mbr(&pooled));
-        assert_eq!(Areal::num_vertices(&owned), Areal::num_vertices(&pooled));
     }
 }

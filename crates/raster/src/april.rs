@@ -107,12 +107,6 @@ impl AprilApprox {
         }
     }
 
-    /// Serialized size in bytes of both lists (Table 2 accounting: each
-    /// interval as two `u32` cell ids).
-    pub fn serialized_bytes(&self) -> usize {
-        self.p.serialized_bytes() + self.c.serialized_bytes()
-    }
-
     /// Total interval count across both lists.
     pub fn num_intervals(&self) -> usize {
         self.p.len() + self.c.len()
@@ -137,7 +131,6 @@ mod tests {
         assert!(!a.p.is_empty());
         assert!(a.p.inside(&a.c));
         assert!(a.p.num_cells() < a.c.num_cells());
-        assert!(a.serialized_bytes() > 0);
         assert_eq!(a.num_intervals(), a.p.len() + a.c.len());
     }
 
@@ -261,6 +254,5 @@ mod tests {
     fn empty_placeholder() {
         let e = AprilApprox::empty();
         assert!(e.p.is_empty() && e.c.is_empty());
-        assert_eq!(e.serialized_bytes(), 0);
     }
 }

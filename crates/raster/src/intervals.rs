@@ -256,14 +256,6 @@ impl IntervalList {
         self.ivs.iter().flat_map(|&(s, e)| s..e)
     }
 
-    /// Serialized size in bytes, counting each interval as two `u32` ids
-    /// (valid for grid orders up to 16) — the accounting used for the
-    /// paper's Table 2.
-    #[inline]
-    pub fn serialized_bytes(&self) -> usize {
-        self.ivs.len() * 8
-    }
-
     /// Conservative coarsening: aligns every interval *outward* to
     /// multiples of `2^bits` (start rounded down, end rounded up) and
     /// re-merges.
@@ -354,7 +346,6 @@ mod tests {
         assert_eq!(l.intervals(), &[(0, 5), (10, 15)]);
         assert_eq!(l.num_cells(), 10);
         assert_eq!(l.len(), 2);
-        assert_eq!(l.serialized_bytes(), 16);
     }
 
     #[test]

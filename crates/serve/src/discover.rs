@@ -24,7 +24,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use stj_core::{
     find_relation_with, linking::geosparql_property, AdaptiveWorker, PairCtx, RelateScratch,
-    SpatialObject, DEFAULT_MAX_INTERVALS,
+    DEFAULT_MAX_INTERVALS,
 };
 use stj_de9im::TopoRelation;
 use stj_geom::Polygon;
@@ -80,15 +80,13 @@ pub fn discover_probe(
     ctx: &mut PairCtx<'_, '_, Disabled>,
     out: &mut String,
 ) -> (u64, u64) {
-    let probe = SpatialObject::build_with_budget(polygon, &ds.grid, DEFAULT_MAX_INTERVALS);
-    let mut candidates: Vec<u32> = Vec::new();
-    ds.tiling
-        .probe(probe.view().mbr, ds.arena.mbrs(), &mut |id| {
-            candidates.push(id)
-        });
+    let (candidates, probe) = ds.probe(&polygon, DEFAULT_MAX_INTERVALS);
+    let Some(probe) = probe else {
+        return (0, 0); // no candidates
+    };
     let mut links = 0u64;
     for &id in &candidates {
-        let o = find_relation_with(probe.view(), ds.arena.object(id as usize), ctx);
+        let o = find_relation_with(probe.object(0), ds.arena.object(id as usize), ctx);
         if o.relation == TopoRelation::Disjoint {
             continue;
         }
@@ -249,7 +247,13 @@ mod tests {
             Polygon::rect(Rect::from_coords(20.0, 20.0, 30.0, 30.0)),
             Polygon::rect(Rect::from_coords(60.0, 60.0, 90.0, 90.0)),
         ];
-        let arena = stj_core::Dataset::build("boxes", polys, &grid).to_arena();
+        let arena = stj_core::DatasetArena::build(
+            "boxes",
+            &polys,
+            &grid,
+            stj_core::DEFAULT_MAX_INTERVALS,
+            1,
+        );
         let tiling = Tiling::for_probes(arena.mbrs());
         let loaded = LoadedDataset {
             name: "boxes".to_string(),

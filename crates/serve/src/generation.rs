@@ -151,7 +151,8 @@ mod tests {
                 Polygon::rect(Rect::from_coords(o, o, o + 4.0, o + 4.0))
             })
             .collect();
-        let arena = stj_core::Dataset::build(name, polys, &grid).to_arena();
+        let arena =
+            stj_core::DatasetArena::build(name, &polys, &grid, stj_core::DEFAULT_MAX_INTERVALS, 1);
         let tiling = Tiling::for_probes(arena.mbrs());
         LoadedDataset {
             name: name.to_string(),

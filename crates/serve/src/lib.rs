@@ -45,6 +45,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 use stj_core::{AdaptiveMode, AdaptiveModel, DatasetArena};
+use stj_geom::Polygon;
 use stj_index::Tiling;
 use stj_obs::Json;
 use stj_raster::Grid;
@@ -169,6 +170,28 @@ impl LoadedDataset {
             grid,
             tiling,
         })
+    }
+
+    /// Candidates of an ad-hoc probe: the ids the tile index returns for
+    /// `polygon`'s MBR and, when there are any, the probe preprocessed on
+    /// this dataset's grid into a one-row arena (`P`/`C` lists capped at
+    /// `max_intervals`). The probe's interior point is computed once
+    /// here, not once per candidate pair.
+    pub(crate) fn probe(
+        &self,
+        polygon: &Polygon,
+        max_intervals: usize,
+    ) -> (Vec<u32>, Option<DatasetArena>) {
+        let mut candidates = Vec::new();
+        self.tiling
+            .probe(polygon.mbr(), self.arena.mbrs(), &mut |id| {
+                candidates.push(id)
+            });
+        let probe = (!candidates.is_empty()).then(|| {
+            let polygons = std::slice::from_ref(polygon);
+            DatasetArena::build("probe", polygons, &self.grid, max_intervals, 1)
+        });
+        (candidates, probe)
     }
 }
 

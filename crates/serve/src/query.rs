@@ -23,7 +23,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use stj_core::{
     find_relation_with, AdaptiveWorker, Determination, JoinBounds, JoinMethod, PairCtx,
-    RelateScratch, SpatialObject, TopologyJoin, DEFAULT_MAX_INTERVALS,
+    RelateScratch, TopologyJoin, DEFAULT_MAX_INTERVALS,
 };
 use stj_de9im::TopoRelation;
 use stj_obs::Json;
@@ -561,23 +561,19 @@ fn handle_relate(
         }
     };
 
-    // Rasterize the probe once, on the dataset's own grid, then probe
-    // the tile index and run the full pipeline per candidate. Once the
-    // resident adaptive model has settled on skipping the APRIL stage,
-    // probe rasterization precision is wasted too — ad-hoc probes are
-    // built with a coarse interval budget (still sound: coarsening only
-    // widens the approximation).
+    // Probe the tile index, preprocess the probe once (a one-row arena
+    // on the dataset's own grid), then run the full pipeline per
+    // candidate. Once the resident adaptive model has settled on
+    // skipping the APRIL stage, probe rasterization precision is wasted
+    // too — ad-hoc probes are built with a coarse interval budget (still
+    // sound: coarsening only widens the approximation).
     let deadline = request_deadline(ctx);
     let budget = ctx
         .adaptive
         .probe_interval_cap()
         .unwrap_or(DEFAULT_MAX_INTERVALS);
-    let probe = SpatialObject::build_with_budget(polygon, &ds.grid, budget);
-    let mut candidates: Vec<u32> = Vec::new();
-    ds.tiling
-        .probe(probe.view().mbr, ds.arena.mbrs(), &mut |id| {
-            candidates.push(id)
-        });
+    let (candidates, probe) = ds.probe(&polygon, budget);
+    let probe = probe.as_ref().map(|a| a.object(0));
 
     // Per-request view of the resident model: this request's pairs feed
     // the shared warm-up, and settled skip verdicts apply immediately.
@@ -600,7 +596,8 @@ fn handle_relate(
             truncated = true;
             break;
         }
-        let out = find_relation_with(probe.view(), ds.arena.object(id as usize), &mut pair_ctx);
+        let probe = probe.expect("a probe with candidates is built");
+        let out = find_relation_with(probe, ds.arena.object(id as usize), &mut pair_ctx);
         if out.relation == TopoRelation::Disjoint {
             continue;
         }
@@ -932,7 +929,7 @@ fn handle_reload(ctx: &ServeCtx, body: &[u8]) -> Response {
 mod tests {
     use super::*;
     use crate::{LoadedDataset, ServeConfig, ServeCtx};
-    use stj_core::{find_relation, Dataset};
+    use stj_core::{find_relation, DatasetArena};
     use stj_geom::{Polygon, Rect};
     use stj_index::Tiling;
     use stj_raster::Grid;
@@ -944,8 +941,7 @@ mod tests {
             Polygon::rect(Rect::from_coords(20.0, 20.0, 30.0, 30.0)),
             Polygon::rect(Rect::from_coords(60.0, 60.0, 90.0, 90.0)),
         ];
-        let ds = Dataset::build("boxes", polys, &grid);
-        let arena = ds.to_arena();
+        let arena = DatasetArena::build("boxes", &polys, &grid, DEFAULT_MAX_INTERVALS, 1);
         let tiling = Tiling::for_probes(arena.mbrs());
         let loaded = LoadedDataset {
             name: "boxes".to_string(),
@@ -1045,8 +1041,7 @@ mod tests {
             Polygon::rect(Rect::from_coords(10.0, 10.0, 40.0, 40.0)),
             Polygon::rect(Rect::from_coords(20.0, 20.0, 30.0, 30.0)),
         ];
-        let ds = Dataset::build("boxes", polys, &grid);
-        let arena = ds.to_arena();
+        let arena = DatasetArena::build("boxes", &polys, &grid, DEFAULT_MAX_INTERVALS, 1);
         let tiling = Tiling::for_probes(arena.mbrs());
         let loaded = LoadedDataset {
             name: "boxes".to_string(),

@@ -1078,7 +1078,13 @@ mod imp {
                 Polygon::rect(Rect::from_coords(10.0, 10.0, 40.0, 40.0)),
                 Polygon::rect(Rect::from_coords(20.0, 20.0, 30.0, 30.0)),
             ];
-            let arena = stj_core::Dataset::build("boxes", polys, &grid).to_arena();
+            let arena = stj_core::DatasetArena::build(
+                "boxes",
+                &polys,
+                &grid,
+                stj_core::DEFAULT_MAX_INTERVALS,
+                1,
+            );
             let tiling = Tiling::for_probes(arena.mbrs());
             let loaded = LoadedDataset {
                 name: "boxes".to_string(),

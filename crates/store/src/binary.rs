@@ -1,6 +1,8 @@
-//! Versioned binary format for preprocessed datasets.
+//! The legacy STJD v1 record format: read-only.
 //!
-//! Layout (all integers little-endian):
+//! `stj` writes STJD v2 ([`crate::v2`]); v1 files still open, migrating
+//! into a [`DatasetArena`] as they are read. Layout (all integers
+//! little-endian):
 //!
 //! ```text
 //! magic   b"STJD"
@@ -16,15 +18,15 @@
 //! ```
 //!
 //! MBRs are rederived from the polygons on load (cheaper than storing
-//! and guaranteed consistent).
+//! and guaranteed consistent). `tests/fixtures/stjd-v1.stjd` is a v1
+//! file kept for the reader's tests.
 
-use std::io::{self, Read, Write};
-use stj_core::{Dataset, SpatialObject};
-use stj_geom::{Point, Polygon, Rect, Ring};
-use stj_raster::{AprilApprox, Grid, IntervalList};
+use std::io::{self, Read};
+use stj_core::{ArenaColumns, DatasetArena};
+use stj_geom::{InteriorScratch, Point, Polygon, Rect, Ring};
+use stj_raster::{AprilRef, Grid, IntervalList};
 
 pub(crate) const MAGIC: &[u8; 4] = b"STJD";
-const VERSION: u32 = 1;
 
 /// Upper bound on any single `Vec::with_capacity` derived from an
 /// untrusted length field. Counts above this are still honored — the
@@ -66,51 +68,12 @@ impl From<io::Error> for StoreError {
     }
 }
 
-/// Writes a preprocessed dataset and its grid.
-pub fn write_dataset<W: Write>(w: &mut W, ds: &Dataset, grid: &Grid) -> Result<(), StoreError> {
-    w.write_all(MAGIC)?;
-    w.write_all(&VERSION.to_le_bytes())?;
-    for v in [
-        grid.extent().min.x,
-        grid.extent().min.y,
-        grid.extent().max.x,
-        grid.extent().max.y,
-    ] {
-        w.write_all(&v.to_le_bytes())?;
-    }
-    w.write_all(&grid.order().to_le_bytes())?;
-    let name = ds.name.as_bytes();
-    w.write_all(&(name.len() as u32).to_le_bytes())?;
-    w.write_all(name)?;
-    w.write_all(&(ds.objects.len() as u64).to_le_bytes())?;
-    for obj in &ds.objects {
-        write_polygon(w, &obj.polygon)?;
-        write_intervals(w, &obj.april.p)?;
-        write_intervals(w, &obj.april.c)?;
-    }
-    Ok(())
-}
-
-/// Reads a dataset written by [`write_dataset`], returning it with its
-/// grid.
-pub fn read_dataset<R: Read>(r: &mut R) -> Result<(Dataset, Grid), StoreError> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(StoreError::Format("bad magic (not an STJD file)".into()));
-    }
-    let version = read_u32(r)?;
-    if version != VERSION {
-        return Err(StoreError::Format(format!(
-            "unsupported version {version} (expected {VERSION})"
-        )));
-    }
-    read_dataset_v1_body(r)
-}
-
-/// The v1 payload after magic + version (shared with the
-/// version-dispatching reader in [`crate::v2`]).
-pub(crate) fn read_dataset_v1_body<R: Read>(r: &mut R) -> Result<(Dataset, Grid), StoreError> {
+/// Reads the v1 payload after magic + version (dispatched to by
+/// [`crate::v2::read_arena`]), appending each record straight into arena
+/// columns through [`ArenaColumns::push`]: MBRs are rederived from the
+/// polygons and interior points computed, as for any arena built from
+/// polygons.
+pub(crate) fn read_dataset_v1_body<R: Read>(r: &mut R) -> Result<(DatasetArena, Grid), StoreError> {
     let (minx, miny, maxx, maxy) = (read_f64(r)?, read_f64(r)?, read_f64(r)?, read_f64(r)?);
     if !(minx < maxx && miny < maxy) {
         return Err(StoreError::Format("degenerate grid extent".into()));
@@ -132,34 +95,24 @@ pub(crate) fn read_dataset_v1_body<R: Read>(r: &mut R) -> Result<(Dataset, Grid)
     let name = String::from_utf8(name_bytes)
         .map_err(|_| StoreError::Format("dataset name is not UTF-8".into()))?;
 
-    let count = read_u64(r)? as usize;
-    let mut objects = Vec::with_capacity(bounded_capacity(count));
+    let count = read_u64(r)?;
+    let mut cols = ArenaColumns::new(name);
+    let mut scratch = InteriorScratch::default();
     for _ in 0..count {
         let polygon = read_polygon(r)?;
         let p = read_intervals(r)?;
         let c = read_intervals(r)?;
-        objects.push(SpatialObject::from_parts(polygon, AprilApprox { p, c }));
+        cols.push(
+            &polygon,
+            AprilRef {
+                p: p.as_ref(),
+                c: c.as_ref(),
+            },
+            &mut scratch,
+        );
     }
-    Ok((Dataset { name, objects }, grid))
-}
-
-fn write_polygon<W: Write>(w: &mut W, poly: &Polygon) -> Result<(), StoreError> {
-    let rings = 1 + poly.holes().len();
-    w.write_all(&(rings as u32).to_le_bytes())?;
-    write_ring(w, poly.outer())?;
-    for h in poly.holes() {
-        write_ring(w, h)?;
-    }
-    Ok(())
-}
-
-fn write_ring<W: Write>(w: &mut W, ring: &Ring) -> Result<(), StoreError> {
-    w.write_all(&(ring.len() as u32).to_le_bytes())?;
-    for v in ring.vertices() {
-        w.write_all(&v.x.to_le_bytes())?;
-        w.write_all(&v.y.to_le_bytes())?;
-    }
-    Ok(())
+    let arena = DatasetArena::from_columns(cols).map_err(|e| StoreError::Format(e.to_string()))?;
+    Ok((arena, grid))
 }
 
 fn read_polygon<R: Read>(r: &mut R) -> Result<Polygon, StoreError> {
@@ -185,15 +138,6 @@ fn read_ring<R: Read>(r: &mut R) -> Result<Ring, StoreError> {
         pts.push(Point::new(read_f64(r)?, read_f64(r)?));
     }
     Ring::new(pts).map_err(|e| StoreError::Format(format!("invalid ring: {e}")))
-}
-
-fn write_intervals<W: Write>(w: &mut W, list: &IntervalList) -> Result<(), StoreError> {
-    w.write_all(&(list.len() as u32).to_le_bytes())?;
-    for &(s, e) in list.intervals() {
-        w.write_all(&s.to_le_bytes())?;
-        w.write_all(&e.to_le_bytes())?;
-    }
-    Ok(())
 }
 
 fn read_intervals<R: Read>(r: &mut R) -> Result<IntervalList, StoreError> {
@@ -237,117 +181,95 @@ fn read_f64<R: Read>(r: &mut R) -> Result<f64, StoreError> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use stj_datagen::{generate, DatasetId};
+    use crate::v2::{open_arena_from_bytes, read_arena};
+    use crate::{read_wkt_polygons, StoreError};
+    use stj_core::{DatasetArena, TopologyJoin, DEFAULT_MAX_INTERVALS};
+    use stj_geom::Rect;
+    use stj_raster::Grid;
 
-    fn sample_dataset() -> (Dataset, Grid) {
-        let polys = generate(DatasetId::OLE, 0.005);
-        let mut extent = Rect::empty();
-        for p in &polys {
-            extent.grow_rect(p.mbr());
-        }
-        let grid = Grid::new(extent, 10);
-        (Dataset::build("OLE", polys, &grid), grid)
+    /// The committed v1 file and the WKT it was written from.
+    const V1: &[u8] = include_bytes!("../../../tests/fixtures/stjd-v1.stjd");
+    const V1_WKT: &[u8] = include_bytes!("../../../tests/fixtures/stjd-v1.wkt");
+
+    /// Byte offset of the v1 object-count u64: after magic (4), version
+    /// (4), extent (32), order (4), name length (4) + name bytes.
+    const COUNT_OFF: usize = 4 + 4 + 32 + 4 + 4 + "v1fixture".len();
+
+    /// The fixture's polygons built directly, on the fixture's grid.
+    fn fixture_arena() -> (DatasetArena, Grid) {
+        let polys = read_wkt_polygons(V1_WKT).unwrap();
+        let grid = Grid::new(Rect::from_coords(0.0, 0.0, 1000.0, 1000.0), 6);
+        let arena = DatasetArena::build("v1fixture", &polys, &grid, DEFAULT_MAX_INTERVALS, 1);
+        (arena, grid)
     }
 
     #[test]
-    fn roundtrip_preserves_everything() {
-        let (ds, grid) = sample_dataset();
-        let mut buf = Vec::new();
-        write_dataset(&mut buf, &ds, &grid).unwrap();
-        let (ds2, grid2) = read_dataset(&mut buf.as_slice()).unwrap();
-        assert_eq!(ds2.name, ds.name);
+    fn v1_migrates_to_the_built_arena() {
+        let (arena, grid) = fixture_arena();
+        let (migrated, grid2) = read_arena(&mut &V1[..]).unwrap();
         assert_eq!(grid2, grid);
-        assert_eq!(ds2.len(), ds.len());
-        for (a, b) in ds.objects.iter().zip(&ds2.objects) {
-            assert_eq!(a.polygon, b.polygon);
-            assert_eq!(a.mbr, b.mbr);
-            assert_eq!(a.april, b.april);
-        }
+        assert_eq!(migrated.len(), 16);
+        assert_eq!(migrated, arena, "v1 → arena equals direct build");
+        let a = TopologyJoin::new().run(&arena, &arena);
+        let b = TopologyJoin::new().run(&migrated, &migrated);
+        assert_eq!(a.links, b.links);
+        assert_eq!(a.stats, b.stats);
     }
 
     #[test]
     fn rejects_bad_magic() {
         let mut buf = b"NOPE".to_vec();
-        buf.extend_from_slice(&[0u8; 64]);
+        buf.extend_from_slice(&V1[4..]);
         assert!(matches!(
-            read_dataset(&mut buf.as_slice()),
+            read_arena(&mut buf.as_slice()),
             Err(StoreError::Format(_))
         ));
     }
 
     #[test]
     fn rejects_bad_version() {
-        let (ds, grid) = sample_dataset();
-        let mut buf = Vec::new();
-        write_dataset(&mut buf, &ds, &grid).unwrap();
+        let mut buf = V1.to_vec();
         buf[4] = 99; // corrupt the version field
         assert!(matches!(
-            read_dataset(&mut buf.as_slice()),
+            read_arena(&mut buf.as_slice()),
             Err(StoreError::Format(_))
         ));
     }
 
-    /// A dataset small enough that the exhaustive truncation sweep
-    /// stays cheap, yet exercising every record type (holes, P and C
-    /// interval lists).
-    fn tiny_dataset() -> (Dataset, Grid) {
-        let polys = vec![
-            Polygon::rect(Rect::from_coords(5.0, 5.0, 40.0, 40.0)),
-            Polygon::from_coords(
-                vec![(50.0, 10.0), (90.0, 10.0), (90.0, 45.0), (50.0, 45.0)],
-                vec![vec![(60.0, 20.0), (80.0, 20.0), (80.0, 35.0), (60.0, 35.0)]],
-            )
-            .unwrap(),
-            Polygon::from_coords(vec![(10.0, 60.0), (45.0, 60.0), (20.0, 90.0)], vec![]).unwrap(),
-        ];
-        let grid = Grid::new(Rect::from_coords(0.0, 0.0, 100.0, 100.0), 6);
-        (Dataset::build("tiny", polys, &grid), grid)
-    }
-
     #[test]
     fn rejects_truncation_at_every_byte() {
-        let (ds, grid) = tiny_dataset();
-        let mut buf = Vec::new();
-        write_dataset(&mut buf, &ds, &grid).unwrap();
         // Cutting the file at EVERY byte offset must fail cleanly —
         // never panic, never succeed with partial data.
-        for cut in 0..buf.len() {
-            let err = read_dataset(&mut buf[..cut].as_ref());
-            assert!(err.is_err(), "cut at {cut}/{} succeeded", buf.len());
+        for cut in 0..V1.len() {
+            let err = read_arena(&mut &V1[..cut]);
+            assert!(err.is_err(), "cut at {cut}/{} succeeded", V1.len());
         }
-        assert!(read_dataset(&mut buf.as_slice()).is_ok());
+        assert!(read_arena(&mut &V1[..]).is_ok());
     }
 
     #[test]
     fn hostile_counts_fail_without_allocating() {
-        let (ds, grid) = tiny_dataset();
-        let mut valid = Vec::new();
-        write_dataset(&mut valid, &ds, &grid).unwrap();
-        // Byte offset of the object-count u64: after magic (4), version
-        // (4), extent (32), order (4), name length (4) + name bytes.
-        let name_off = 4 + 4 + 32 + 4;
-        let count_off = name_off + 4 + ds.name.len();
+        let header = &V1[..COUNT_OFF];
 
         // A header claiming u64::MAX objects (then EOF) must error out,
         // not preallocate.
-        let mut buf = valid[..count_off].to_vec();
+        let mut buf = header.to_vec();
         buf.extend_from_slice(&u64::MAX.to_le_bytes());
         assert!(matches!(
-            read_dataset(&mut buf.as_slice()),
+            read_arena(&mut buf.as_slice()),
             Err(StoreError::Io(_) | StoreError::Format(_))
         ));
 
         // Max-allowed vertex count (2^26, passes the range check) with
         // no vertex data: must fail on EOF, not OOM on with_capacity.
-        let mut buf = valid[..count_off].to_vec();
+        let mut buf = header.to_vec();
         buf.extend_from_slice(&1u64.to_le_bytes()); // one object
         buf.extend_from_slice(&1u32.to_le_bytes()); // one ring
         buf.extend_from_slice(&(1u32 << 26).to_le_bytes()); // huge ring
-        assert!(read_dataset(&mut buf.as_slice()).is_err());
+        assert!(read_arena(&mut buf.as_slice()).is_err());
 
         // Same for a huge interval count on the P list.
-        let mut buf = valid[..count_off].to_vec();
+        let mut buf = header.to_vec();
         buf.extend_from_slice(&1u64.to_le_bytes());
         buf.extend_from_slice(&1u32.to_le_bytes());
         buf.extend_from_slice(&3u32.to_le_bytes()); // 3 vertices
@@ -355,45 +277,29 @@ mod tests {
             buf.extend_from_slice(&v.to_le_bytes());
         }
         buf.extend_from_slice(&(1u32 << 28).to_le_bytes()); // huge P list
-        assert!(read_dataset(&mut buf.as_slice()).is_err());
+        assert!(read_arena(&mut buf.as_slice()).is_err());
     }
 
     #[test]
-    fn corrupt_interval_lists_are_rejected() {
-        let (ds, grid) = tiny_dataset();
-        let mut buf = Vec::new();
-        write_dataset(&mut buf, &ds, &grid).unwrap();
+    fn byte_flips_never_panic() {
         // Flip every byte position in turn and demand no panic: either a
-        // clean error or a (structurally re-validated) successful parse.
-        for pos in 0..buf.len() {
-            let mut corrupt = buf.clone();
+        // clean error or a (structurally re-validated) successful parse,
+        // on both the stream and the byte-open path.
+        for pos in 0..V1.len() {
+            let mut corrupt = V1.to_vec();
             corrupt[pos] ^= 0xFF;
-            let _ = read_dataset(&mut corrupt.as_slice());
+            let _ = read_arena(&mut corrupt.as_slice());
+            let _ = open_arena_from_bytes(&corrupt);
         }
     }
 
     #[test]
-    fn loaded_dataset_joins_identically() {
-        use stj_core::TopologyJoin;
-        let (ds, grid) = sample_dataset();
-        let mut buf = Vec::new();
-        write_dataset(&mut buf, &ds, &grid).unwrap();
-        let (ds2, _) = read_dataset(&mut buf.as_slice()).unwrap();
-        let (ar, ar2) = (ds.to_arena(), ds2.to_arena());
-        let a = TopologyJoin::new().run(&ar, &ar);
-        let b = TopologyJoin::new().run(&ar2, &ar2);
-        assert_eq!(a.links, b.links);
-        assert_eq!(a.stats, b.stats);
-    }
-
-    #[test]
-    fn empty_dataset_roundtrips() {
-        let grid = Grid::new(Rect::from_coords(0.0, 0.0, 1.0, 1.0), 4);
-        let ds = Dataset::build("empty", vec![], &grid);
-        let mut buf = Vec::new();
-        write_dataset(&mut buf, &ds, &grid).unwrap();
-        let (ds2, _) = read_dataset(&mut buf.as_slice()).unwrap();
-        assert!(ds2.is_empty());
-        assert_eq!(ds2.name, "empty");
+    fn empty_v1_dataset_reads() {
+        // The fixture's header with an object count of zero.
+        let mut buf = V1[..COUNT_OFF].to_vec();
+        buf.extend_from_slice(&0u64.to_le_bytes());
+        let (arena, _) = read_arena(&mut buf.as_slice()).unwrap();
+        assert!(arena.is_empty());
+        assert_eq!(arena.name(), "v1fixture");
     }
 }

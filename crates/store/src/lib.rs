@@ -4,13 +4,13 @@
 //! preprocessing step) and reused across joins; this crate provides the
 //! storage side of that workflow:
 //!
-//! - [`binary`]: the v1 record-per-object format for a full
-//!   [`Dataset`](stj_core::Dataset) — polygons, MBRs and `P`/`C`
-//!   interval lists — plus the grid it was built on, so a join can start
-//!   without re-rasterizing anything;
-//! - [`v2`]: the columnar STJD v2 format that bulk-loads (or zero-copy
-//!   opens) straight into a [`stj_core::DatasetArena`], with version
-//!   dispatch so v1 files keep working;
+//! - [`v2`]: the columnar STJD v2 format — polygons, MBRs, interior
+//!   points and `P`/`C` interval lists plus the grid they were built on —
+//!   that bulk-loads (or zero-copy opens) straight into a
+//!   [`stj_core::DatasetArena`], so a join can start without
+//!   re-rasterizing anything;
+//! - [`binary`]: the legacy v1 record-per-object format, read-only: v1
+//!   files migrate into an arena as they are read;
 //! - [`wktio`]: plain-text WKT files (one geometry per line) for
 //!   interchange with PostGIS/GEOS tooling.
 
@@ -21,7 +21,7 @@ pub mod mmap;
 pub mod v2;
 pub mod wktio;
 
-pub use binary::{read_dataset, write_dataset, StoreError};
+pub use binary::StoreError;
 pub use external::{external_join_files, write_sharded, ShardedDataset};
 pub use manifest::{
     is_manifest_file, read_manifest, read_manifest_file, write_manifest, write_manifest_file,

@@ -96,7 +96,7 @@ pub fn write_arena_v2<W: Write>(
 }
 
 /// Reads any STJD stream into an arena: v2 via bulk column decode, v1 via
-/// the per-object parser followed by columnar conversion.
+/// the per-object parser appending rows as it goes.
 pub fn read_arena<R: Read>(r: &mut R) -> Result<(DatasetArena, Grid), StoreError> {
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
@@ -104,10 +104,7 @@ pub fn read_arena<R: Read>(r: &mut R) -> Result<(DatasetArena, Grid), StoreError
         return Err(fmt_err("bad magic (not an STJD file)"));
     }
     match read_u32(r)? {
-        1 => {
-            let (ds, grid) = read_dataset_v1_body(r)?;
-            Ok((ds.to_arena(), grid))
-        }
+        1 => read_dataset_v1_body(r),
         2 => read_v2_body(r),
         v => Err(fmt_err(format!("unsupported version {v}"))),
     }
@@ -197,14 +194,13 @@ pub fn dataset_info(path: &std::path::Path) -> Result<DatasetInfo, StoreError> {
     }
     match read_u32(r)? {
         1 => {
-            let (ds, grid) = read_dataset_v1_body(r)?;
-            let arena = ds.to_arena();
+            let (arena, grid) = read_dataset_v1_body(r)?;
             Ok(DatasetInfo {
                 version: 1,
-                name: ds.name.clone(),
+                name: arena.name().to_string(),
                 order: grid.order(),
                 extent: *grid.extent(),
-                n_objects: ds.len() as u64,
+                n_objects: arena.len() as u64,
                 n_rings: (arena.ring_vert_offs().len() - 1) as u64,
                 n_vertices: arena.verts().len() as u64,
                 n_p: arena.p_pool().len() as u64,
@@ -551,10 +547,20 @@ fn read_f64<R: Read>(r: &mut R) -> Result<f64, StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::binary::write_dataset;
-    use stj_core::Dataset;
+    use stj_core::DEFAULT_MAX_INTERVALS;
     use stj_datagen::{generate, DatasetId};
     use stj_geom::Polygon;
+
+    /// The committed STJD v1 file (see `tests/fixtures/README.md`).
+    const V1: &[u8] = include_bytes!("../../../tests/fixtures/stjd-v1.stjd");
+    const V1_WKT: &[u8] = include_bytes!("../../../tests/fixtures/stjd-v1.wkt");
+
+    /// The v1 fixture's polygons built directly on its grid.
+    fn v1_fixture_arena() -> DatasetArena {
+        let polys = crate::read_wkt_polygons(V1_WKT).unwrap();
+        let grid = Grid::new(Rect::from_coords(0.0, 0.0, 1000.0, 1000.0), 6);
+        DatasetArena::build("v1fixture", &polys, &grid, DEFAULT_MAX_INTERVALS, 1)
+    }
 
     fn sample_arena() -> (DatasetArena, Grid) {
         let polys = generate(DatasetId::OLE, 0.005);
@@ -563,7 +569,10 @@ mod tests {
             extent.grow_rect(p.mbr());
         }
         let grid = Grid::new(extent, 10);
-        (Dataset::build("OLE", polys, &grid).to_arena(), grid)
+        (
+            DatasetArena::build("OLE", &polys, &grid, DEFAULT_MAX_INTERVALS, 1),
+            grid,
+        )
     }
 
     fn tiny_arena() -> (DatasetArena, Grid) {
@@ -577,7 +586,10 @@ mod tests {
             Polygon::from_coords(vec![(10.0, 60.0), (45.0, 60.0), (20.0, 90.0)], vec![]).unwrap(),
         ];
         let grid = Grid::new(Rect::from_coords(0.0, 0.0, 100.0, 100.0), 6);
-        (Dataset::build("tiny", polys, &grid).to_arena(), grid)
+        (
+            DatasetArena::build("tiny", &polys, &grid, DEFAULT_MAX_INTERVALS, 1),
+            grid,
+        )
     }
 
     fn encode(arena: &DatasetArena, grid: &Grid) -> Vec<u8> {
@@ -612,20 +624,14 @@ mod tests {
     }
 
     #[test]
-    fn v1_files_migrate_to_arenas() {
-        let (arena, grid) = sample_arena();
-        // Re-derive the owned dataset for the v1 writer.
-        let polys = generate(DatasetId::OLE, 0.005);
-        let ds = Dataset::build("OLE", polys, &grid);
-        let mut v1 = Vec::new();
-        write_dataset(&mut v1, &ds, &grid).unwrap();
-
-        let (migrated, grid2) = read_arena(&mut v1.as_slice()).unwrap();
-        assert_eq!(grid2, grid);
-        assert_eq!(migrated, arena, "v1 → arena equals direct conversion");
+    fn v1_files_migrate_on_read() {
+        let arena = v1_fixture_arena();
+        let (migrated, grid) = read_arena(&mut &V1[..]).unwrap();
+        assert_eq!(grid.order(), 6);
+        assert_eq!(migrated, arena, "v1 → arena equals direct build");
 
         // And via the byte-open path (which must detect v1 and fall back).
-        let (migrated2, _) = open_arena_from_bytes(&v1).unwrap();
+        let (migrated2, _) = open_arena_from_bytes(V1).unwrap();
         assert!(!migrated2.is_zero_copy());
         assert_eq!(migrated2, arena);
     }
@@ -712,15 +718,11 @@ mod tests {
         assert!(open_arena(&bad).is_err());
 
         // v1 files fall back to the migrating open.
-        let polys = generate(DatasetId::OLE, 0.005);
-        let ds = Dataset::build("OLE", polys, &grid);
-        let mut v1 = Vec::new();
-        write_dataset(&mut v1, &ds, &grid).unwrap();
-        let v1_path = dir.join("ole-v1.stjd");
-        std::fs::write(&v1_path, &v1).unwrap();
+        let v1_path = dir.join("fixture-v1.stjd");
+        std::fs::write(&v1_path, V1).unwrap();
         let (migrated, _) = open_arena(&v1_path).unwrap();
         assert_eq!(migrated.backing_kind(), "columns");
-        assert_eq!(migrated, arena);
+        assert_eq!(migrated, v1_fixture_arena());
 
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -740,7 +742,7 @@ mod tests {
     #[test]
     fn empty_arena_roundtrips() {
         let grid = Grid::new(Rect::from_coords(0.0, 0.0, 1.0, 1.0), 4);
-        let arena = Dataset::build("empty", vec![], &grid).to_arena();
+        let arena = DatasetArena::build("empty", &[], &grid, DEFAULT_MAX_INTERVALS, 1);
         let buf = encode(&arena, &grid);
         let (loaded, _) = open_arena_from_bytes(&buf).unwrap();
         assert!(loaded.is_empty());
@@ -770,21 +772,18 @@ mod tests {
 
     #[test]
     fn info_reads_v1_files() {
-        let grid = Grid::new(Rect::from_coords(0.0, 0.0, 100.0, 100.0), 6);
-        let ds = Dataset::build(
-            "tiny",
-            vec![Polygon::rect(Rect::from_coords(5.0, 5.0, 40.0, 40.0))],
-            &grid,
-        );
-        let mut buf = Vec::new();
-        write_dataset(&mut buf, &ds, &grid).unwrap();
         let dir = std::env::temp_dir().join("stj_v1_info_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("tiny_v1.stjd");
-        std::fs::write(&path, &buf).unwrap();
+        let path = dir.join("fixture_v1.stjd");
+        std::fs::write(&path, V1).unwrap();
         let info = dataset_info(&path).unwrap();
         assert_eq!(info.version, 1);
-        assert_eq!(info.n_objects, 1);
+        assert_eq!(info.name, "v1fixture");
+        assert_eq!(info.n_objects, 16);
+        assert_eq!(
+            info.n_vertices as usize,
+            v1_fixture_arena().total_vertices()
+        );
         assert!(info.sections.is_empty());
         std::fs::remove_file(&path).ok();
     }

@@ -27,8 +27,14 @@ fn main() {
     let (lake_poly, park_poly) = fig9_lake_in_park(42);
     let grid = Grid::new(Rect::from_coords(0.0, 0.0, 1000.0, 1000.0), 16);
 
-    let lake = SpatialObject::build(lake_poly, &grid);
-    let park = SpatialObject::build(park_poly, &grid);
+    let pair = DatasetArena::build(
+        "fig9",
+        &[lake_poly, park_poly],
+        &grid,
+        DEFAULT_MAX_INTERVALS,
+        1,
+    );
+    let (lake, park) = (pair.object(0), pair.object(1));
 
     // Figure 9(a): the pair's statistics.
     println!("statistic          lake      park");
@@ -68,10 +74,7 @@ fn main() {
         ("OP2", JoinMethod::Op2),
         ("APRIL", JoinMethod::April),
     ] {
-        let (out, dt) = time(
-            || method.find_relation(lake.view(), park.view(), &mut ctx),
-            iters,
-        );
+        let (out, dt) = time(|| method.find_relation(lake, park, &mut ctx), iters);
         println!("{name:<8} {:<12} {dt:>10.2?}", out.relation.to_string());
         runs.push((out, dt));
     }

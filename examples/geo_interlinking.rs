@@ -34,8 +34,8 @@ fn main() {
 
     let t = Instant::now();
     let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
-    let lakes = Dataset::build_parallel("OLE", lakes_polys, &grid, threads).to_arena();
-    let parks = Dataset::build_parallel("OPE", parks_polys, &grid, threads).to_arena();
+    let lakes = DatasetArena::build("OLE", &lakes_polys, &grid, DEFAULT_MAX_INTERVALS, threads);
+    let parks = DatasetArena::build("OPE", &parks_polys, &grid, DEFAULT_MAX_INTERVALS, threads);
     println!(
         "preprocessed {} lakes + {} parks (MBRs + APRIL) in {:.2?}",
         lakes.len(),

@@ -25,8 +25,8 @@ fn main() {
     }
     let grid = Grid::new(extent, 14);
     let t = Instant::now();
-    let lakes = Dataset::build("OLE", lakes_polys, &grid);
-    let parks = Dataset::build("OPE", parks_polys, &grid);
+    let lakes = DatasetArena::build("OLE", &lakes_polys, &grid, DEFAULT_MAX_INTERVALS, 1);
+    let parks = DatasetArena::build("OPE", &parks_polys, &grid, DEFAULT_MAX_INTERVALS, 1);
     println!(
         "preprocessed {} + {} objects in {:.2?}",
         lakes.len(),
@@ -34,9 +34,7 @@ fn main() {
         t.elapsed()
     );
 
-    // 2. Move onto columnar arenas and persist them as STJD v2 (the
-    //    grid travels with the file).
-    let (lakes, parks) = (lakes.to_arena(), parks.to_arena());
+    // 2. Persist the arenas as STJD v2 (the grid travels with the file).
     let lakes_path = dir.join("lakes.stjd");
     let parks_path = dir.join("parks.stjd");
     for (ds, path) in [(&lakes, &lakes_path), (&parks, &parks_path)] {

@@ -29,8 +29,8 @@ fn main() {
     }
     let grid = Grid::new(extent, 14);
     let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
-    let lakes = Dataset::build_parallel("OLE", lakes_polys, &grid, threads).to_arena();
-    let parks = Dataset::build_parallel("OPE", parks_polys, &grid, threads).to_arena();
+    let lakes = DatasetArena::build("OLE", &lakes_polys, &grid, DEFAULT_MAX_INTERVALS, threads);
+    let parks = DatasetArena::build("OPE", &parks_polys, &grid, DEFAULT_MAX_INTERVALS, threads);
     let pairs = mbr_join_parallel(lakes.mbrs(), parks.mbrs(), threads);
     println!(
         "{} lakes x {} parks -> {} candidate pairs\n",

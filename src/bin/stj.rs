@@ -3,13 +3,12 @@
 //! ```text
 //! stj relate <WKT> <WKT>                    DE-9IM + most specific relation
 //! stj generate <DATASET> <SCALE> <OUT.wkt>  write a synthetic dataset as WKT
-//! stj preprocess <IN.wkt> <OUT.stjd> [opts] build MBRs + APRIL, save binary
+//! stj preprocess <IN.wkt> <OUT.stjd> [opts] build MBRs + APRIL, save STJD v2
 //!     --order N      grid order (default 16)
 //!     --extent x0 y0 x1 y1   grid extent (default: dataset MBR + 1%)
 //!     --name NAME    dataset name (default: file stem)
-//!     --format v1|v2 storage format (default v2: columnar, zero-copy
-//!                    loadable; v1 is the legacy per-object record format)
 //! stj info <DATASET.stjd>                   format version, counts, sections
+//!                                           (reads STJD v2 and legacy v1)
 //! stj join <LEFT.stjd> <RIGHT.stjd> [opts]  run the topology join
 //!     --method pc|st2|op2|april   (default pc)
 //!     --predicate REL             relate_p mode (inside, meets, ...)
@@ -91,8 +90,7 @@ use stjoin::obs::Json;
 use stjoin::prelude::*;
 use stjoin::store::{
     dataset_info, external_join_files, is_manifest_file, open_arena, read_manifest_file,
-    read_wkt_polygons, write_arena_v2, write_dataset, write_sharded, write_wkt_polygons,
-    ShardedDataset,
+    read_wkt_polygons, write_arena_v2, write_sharded, write_wkt_polygons, ShardedDataset,
 };
 
 /// Passthrough to the system allocator that feeds the stage-tagged
@@ -154,7 +152,7 @@ USAGE:
   stj relate <WKT> <WKT>
   stj generate <DATASET> <SCALE> <OUT.wkt>
   stj preprocess <IN.wkt> <OUT.stjd> [--order N] [--extent x0 y0 x1 y1] [--name NAME]
-                 [--format v1|v2] [--shards N (write OUT as an STJM manifest
+                 [--shards N (write OUT as an STJM manifest
                  plus N Hilbert-range shard files for out-of-core joins)]
   stj info <DATASET.stjd|MANIFEST.stjm>
   stj join <LEFT> <RIGHT> [--method pc|st2|op2|april]
@@ -221,7 +219,6 @@ fn cmd_preprocess(args: &[String]) -> Result<(), String> {
     let mut order = 16u32;
     let mut name: Option<String> = None;
     let mut extent: Option<Rect> = None;
-    let mut format = "v2";
     let mut shards = 0usize;
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -240,13 +237,6 @@ fn cmd_preprocess(args: &[String]) -> Result<(), String> {
                 }
             }
             "--name" => name = Some(next_arg(&mut it, "--name")?),
-            "--format" => {
-                format = match next_arg(&mut it, "--format")?.as_str() {
-                    "v1" => "v1",
-                    "v2" => "v2",
-                    other => return Err(format!("unknown format {other:?} (expected v1 or v2)")),
-                };
-            }
             "--extent" => {
                 let mut v = [0.0f64; 4];
                 for slot in &mut v {
@@ -286,14 +276,10 @@ fn cmd_preprocess(args: &[String]) -> Result<(), String> {
     });
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let count = polys.len();
-    let ds = Dataset::build_parallel(ds_name, polys, &grid, threads);
+    let arena = DatasetArena::build(&ds_name, &polys, &grid, DEFAULT_MAX_INTERVALS, threads);
+    drop(polys);
     if shards > 0 {
-        if format == "v1" {
-            return Err(
-                "--shards writes STJD v2 shard files; it cannot combine with --format v1".into(),
-            );
-        }
-        let manifest = write_sharded(std::path::Path::new(output), &ds.to_arena(), &grid, shards)
+        let manifest = write_sharded(std::path::Path::new(output), &arena, &grid, shards)
             .map_err(|e| format!("write {output}: {e}"))?;
         println!(
             "preprocessed {count} polygons into {} Hilbert shard(s) (grid order {order}) -> {output}",
@@ -303,13 +289,9 @@ fn cmd_preprocess(args: &[String]) -> Result<(), String> {
     }
     let f = File::create(output).map_err(|e| format!("create {output}: {e}"))?;
     let mut w = BufWriter::new(f);
-    if format == "v2" {
-        write_arena_v2(&mut w, &ds.to_arena(), &grid).map_err(|e| e.to_string())?;
-    } else {
-        write_dataset(&mut w, &ds, &grid).map_err(|e| e.to_string())?;
-    }
+    write_arena_v2(&mut w, &arena, &grid).map_err(|e| e.to_string())?;
     w.flush().map_err(|e| e.to_string())?;
-    println!("preprocessed {count} polygons (grid order {order}, format {format}) -> {output}");
+    println!("preprocessed {count} polygons (grid order {order}, format v2) -> {output}");
     Ok(())
 }
 

@@ -24,8 +24,8 @@
 //! - [`datagen`] — seeded synthetic datasets mirroring the paper's
 //!   evaluation scenarios;
 //! - [`store`] — persistence: the columnar STJD v2 format (bulk-load
-//!   or zero-copy open into a [`DatasetArena`]) plus the legacy v1
-//!   record format and WKT interchange;
+//!   or zero-copy open into a [`DatasetArena`]), reading of the legacy
+//!   v1 record format, and WKT interchange;
 //! - [`obs`] — observability: per-stage latency histograms, join
 //!   profiles, JSON telemetry, progress heartbeats;
 //! - [`check`] — the differential & metamorphic correctness harness
@@ -39,34 +39,39 @@
 //! ## Quickstart
 //!
 //! ```
+//! use stjoin::geom::wkt::polygon_from_wkt;
 //! use stjoin::prelude::*;
 //!
 //! // One shared grid per join scenario (the paper uses order 16).
 //! let grid = Grid::new(Rect::from_coords(0.0, 0.0, 100.0, 100.0), 12);
 //!
-//! let park = SpatialObject::build(
-//!     Polygon::from_coords(
-//!         vec![(5.0, 5.0), (95.0, 5.0), (95.0, 95.0), (5.0, 95.0)],
-//!         vec![],
-//!     )
-//!     .unwrap(),
-//!     &grid,
-//! );
-//! let lake = SpatialObject::build(
-//!     Polygon::from_coords(
-//!         vec![(30.0, 30.0), (60.0, 35.0), (55.0, 60.0)],
-//!         vec![],
-//!     )
-//!     .unwrap(),
-//!     &grid,
-//! );
+//! // A park with a clearing (a hole), a lake in the park, and a pond in
+//! // the clearing.
+//! let polygons = [
+//!     "POLYGON ((5 5, 95 5, 95 95, 5 95, 5 5), (60 60, 80 60, 80 80, 60 80, 60 60))",
+//!     "POLYGON ((30 30, 60 35, 55 60, 30 30))",
+//!     "POLYGON ((65 65, 75 65, 75 75, 65 75, 65 65))",
+//! ]
+//! .map(|w| polygon_from_wkt(w).unwrap());
 //!
-//! // The pipeline works on borrowed views: `.view()` on an owned
-//! // object, or `DatasetArena::object(i)` in batch joins.
-//! let out = find_relation(lake.view(), park.view());
+//! // Preprocess once into an arena: per row an MBR, APRIL `P`/`C`
+//! // interval lists and an interior point (1 worker thread here).
+//! let arena = DatasetArena::build("demo", &polygons, &grid, DEFAULT_MAX_INTERVALS, 1);
+//! let (park, lake, pond) = (arena.object(0), arena.object(1), arena.object(2));
+//!
+//! // The pipeline works on borrowed arena rows.
+//! let out = find_relation(lake, park);
 //! assert_eq!(out.relation, TopoRelation::Inside);
 //! // Decided from interval lists alone — no DE-9IM computation:
 //! assert_eq!(out.determination, Determination::IntermediateFilter);
+//! // The pond sits in the park's hole, not in its material.
+//! assert_eq!(find_relation(pond, park).relation, TopoRelation::Disjoint);
+//!
+//! // Predicate queries test one relation, cheaper than the most
+//! // specific one; the full DE-9IM matrix is there when you need it.
+//! assert!(relate_p(lake, park, TopoRelation::Inside).holds);
+//! let m = relate(&lake.geom, &park.geom);
+//! assert_eq!(TopoRelation::most_specific(&m), TopoRelation::Inside);
 //! ```
 
 pub use stj_check as check;
@@ -82,8 +87,8 @@ pub use stj_store as store;
 
 pub use stj_core::{
     find_relation, find_relation_with, relate_p, relate_p_with, AdaptiveMode, AdaptiveModel,
-    AdaptiveReport, Dataset, DatasetArena, Determination, FindOutcome, JoinMethod, JoinResult,
-    Link, ObjectRef, PairCtx, PipelineStats, RelateOutcome, SpatialObject, TopologyJoin,
+    AdaptiveReport, DatasetArena, Determination, FindOutcome, JoinMethod, JoinResult, Link,
+    ObjectRef, PairCtx, PipelineStats, RelateOutcome, TopologyJoin, DEFAULT_MAX_INTERVALS,
 };
 pub use stj_de9im::{relate, De9Im, Mask, TopoRelation};
 pub use stj_geom::{MultiPolygon, Point, Polygon, Rect, Ring, Segment};
@@ -93,9 +98,9 @@ pub use stj_raster::{AprilApprox, Grid, IntervalList};
 /// Convenience glob-import module: `use stjoin::prelude::*;`.
 pub mod prelude {
     pub use stj_core::{
-        find_relation, find_relation_with, relate_p, relate_p_with, AdaptiveMode, Dataset,
-        DatasetArena, Determination, FindOutcome, JoinMethod, Link, ObjectRef, PairCtx,
-        PipelineStats, SpatialObject, TopologyJoin,
+        find_relation, find_relation_with, relate_p, relate_p_with, AdaptiveMode, DatasetArena,
+        Determination, FindOutcome, JoinMethod, Link, ObjectRef, PairCtx, PipelineStats,
+        TopologyJoin, DEFAULT_MAX_INTERVALS,
     };
     pub use stj_de9im::{relate, De9Im, TopoRelation};
     pub use stj_geom::{MultiPolygon, Point, Polygon, Rect, Ring, Segment};

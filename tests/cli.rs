@@ -295,38 +295,33 @@ fn sharded_out_of_core_pipeline() {
 #[test]
 fn v2_default_v1_interop_and_info() {
     let dir = tempdir("formats");
-    let wkt = dir.join("lakes.wkt");
-    let v2_bin = dir.join("lakes-v2.stjd");
-    let v1_bin = dir.join("lakes-v1.stjd");
+    // The committed v1 file and the WKT it was written from (see
+    // tests/fixtures/README.md): nothing writes v1 any more.
+    let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let wkt = fixtures.join("stjd-v1.wkt");
+    let v1_bin = fixtures.join("stjd-v1.stjd");
+    let v2_bin = dir.join("fixture-v2.stjd");
 
-    let out = stj()
-        .args(["generate", "OLE", "0.003"])
-        .arg(&wkt)
-        .output()
-        .expect("generate");
-    assert!(out.status.success());
-
-    // Default preprocess writes the columnar v2 format; --format v1
-    // keeps the legacy record format.
+    // Preprocess writes the columnar v2 format, on the v1 file's grid.
     let out = stj()
         .arg("preprocess")
         .arg(&wkt)
         .arg(&v2_bin)
-        .args(["--order", "12", "--extent", "0", "0", "1000", "1000"])
+        .args(["--order", "6", "--extent", "0", "0", "1000", "1000"])
+        .args(["--name", "v1fixture"])
         .output()
         .expect("preprocess v2");
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("format v2"));
+    // `--format` is gone: v1 is read-only.
     let out = stj()
         .arg("preprocess")
         .arg(&wkt)
-        .arg(&v1_bin)
-        .args(["--order", "12", "--extent", "0", "0", "1000", "1000"])
+        .arg(dir.join("never.stjd"))
         .args(["--format", "v1"])
         .output()
-        .expect("preprocess v1");
-    assert!(out.status.success());
-    assert!(String::from_utf8_lossy(&out.stdout).contains("format v1"));
+        .expect("preprocess --format");
+    assert!(!out.status.success());
 
     // `stj info` reads both formats; v2 reports per-section sizes.
     let out = stj().arg("info").arg(&v2_bin).output().expect("info v2");
@@ -1128,6 +1123,139 @@ fn discover_matches_offline_join_ntriples() {
         .expect("send SIGTERM");
     assert!(term.success());
     assert!(server.wait().expect("wait").success());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A zero-area probe (every vertex on the square's right edge) has no
+/// detectable interior. Preprocessed, `stj join` answers it from the NaN
+/// interior sentinel of its arena row; `stj relate`, `stj discover` and
+/// the served `/v1/relate` must answer it too (it used to panic the
+/// serve worker), and the worker must keep serving.
+#[cfg(unix)]
+#[test]
+fn zero_area_probe_is_answered_everywhere() {
+    use std::io::{BufRead, BufReader};
+
+    const SQUARE: &str = "POLYGON((0 0,100 0,100 100,0 100,0 0))";
+    const SLIVER: &str = "POLYGON((100 10, 100 50, 100 90, 100 10))";
+    let dir = tempdir("sliver");
+    let grid = ["--order", "8", "--extent", "-10", "-10", "110", "110"];
+    for (name, wkt) in [("square", SQUARE), ("sliver", SLIVER)] {
+        let path = dir.join(format!("{name}.wkt"));
+        std::fs::write(&path, format!("{wkt}\n")).unwrap();
+        let out = stj()
+            .arg("preprocess")
+            .arg(&path)
+            .arg(dir.join(format!("{name}.stjd")))
+            .args(grid)
+            .args(["--name", name])
+            .output()
+            .expect("preprocess");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+
+    // Ground truth: the offline join of the preprocessed sliver.
+    let links_nt = dir.join("links.nt");
+    let report = dir.join("report.json");
+    let out = stj()
+        .arg("join")
+        .arg(dir.join("sliver.stjd"))
+        .arg(dir.join("square.stjd"))
+        .args(["--quiet", "--ntriples"])
+        .arg(&links_nt)
+        .arg("--stats-json")
+        .arg(&report)
+        .output()
+        .expect("join");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let join_nt = std::fs::read_to_string(&links_nt).unwrap();
+    assert_eq!(join_nt.lines().count(), 1, "{join_nt}");
+    // The one relation the join counted: `"relations": { "<name>": 1 }`.
+    let report = std::fs::read_to_string(&report).unwrap();
+    let relations = &report[report.find("\"relations\"").expect("relations block")..];
+    let relation = relations
+        .split('"')
+        .nth(3)
+        .expect("one relation")
+        .to_string();
+
+    let out = stj()
+        .args(["relate", SLIVER, SQUARE])
+        .output()
+        .expect("relate");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains(&format!("relation: {relation}")), "{text}");
+
+    let out = stj()
+        .args(["discover", "--format", "nt", "--name", "sliver", "--data"])
+        .arg(dir.join("square.stjd"))
+        .stdin(std::fs::File::open(dir.join("sliver.wkt")).unwrap())
+        .output()
+        .expect("discover");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(String::from_utf8_lossy(&out.stdout), join_nt);
+
+    // One worker thread: the follow-up request lands on the same worker.
+    let mut server = stj()
+        .arg("serve")
+        .arg("--data")
+        .arg(dir.join("square.stjd"))
+        .args(["--addr", "127.0.0.1:0", "--threads", "1", "--quiet"])
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn serve");
+    let mut stdout = BufReader::new(server.stdout.take().expect("stdout piped"));
+    let mut line = String::new();
+    stdout.read_line(&mut line).expect("read listen line");
+    let addr = line
+        .trim()
+        .strip_prefix("listening on ")
+        .unwrap_or_else(|| panic!("unexpected serve banner: {line:?}"))
+        .to_string();
+    // Answers are checked after the server is stopped, so a failing
+    // check cannot leave it running.
+    let query = |wkt: &str| {
+        let out = stj()
+            .args(["query", "--addr", &addr, "relate", "square", wkt])
+            .output()
+            .expect("query relate");
+        let text = String::from_utf8_lossy(&out.stdout) + String::from_utf8_lossy(&out.stderr);
+        (out.status.success(), text.into_owned())
+    };
+    let sliver_body = query(SLIVER);
+    let followup_body = query("POLYGON((10 10, 20 10, 20 20, 10 20, 10 10))");
+    let term = Command::new("kill")
+        .args(["-TERM", &server.id().to_string()])
+        .status()
+        .expect("send SIGTERM");
+    assert!(term.success());
+    assert!(server.wait().expect("wait").success());
+
+    let (ok, body) = sliver_body;
+    assert!(ok, "{body}");
+    assert!(
+        body.contains(&format!("\"relation\": \"{relation}\"")),
+        "served {body}, joined {relation}"
+    );
+    let (ok, body) = followup_body;
+    assert!(ok && body.contains("\"relation\": \"inside\""), "{body}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -27,10 +27,16 @@ fn grid() -> Grid {
     Grid::new(Rect::from_coords(-200.0, -200.0, 1200.0, 1200.0), 10)
 }
 
-/// Asserts converse symmetry for one preprocessed pair, for every join
-/// method and every `relate_p` predicate.
-fn assert_converse(r: &SpatialObject, s: &SpatialObject, ctx: &str) {
-    let mut pair = PairCtx {
+/// The pair `(a, b)` preprocessed into a two-row arena.
+fn pair_arena(a: Polygon, b: Polygon) -> DatasetArena {
+    DatasetArena::build("pair", &[a, b], &grid(), DEFAULT_MAX_INTERVALS, 1)
+}
+
+/// Asserts converse symmetry for one preprocessed pair (rows 0 and 1),
+/// for every join method and every `relate_p` predicate.
+fn assert_converse(pair: &DatasetArena, ctx: &str) {
+    let (r, s) = (pair.object(0), pair.object(1));
+    let mut pctx = PairCtx {
         scratch: &mut RelateScratch::default(),
         prof: &mut Disabled,
         adaptive: None,
@@ -42,41 +48,36 @@ fn assert_converse(r: &SpatialObject, s: &SpatialObject, ctx: &str) {
         ("APRIL", JoinMethod::April),
     ];
     for (name, method) in methods {
-        let fwd = method.find_relation(r.view(), s.view(), &mut pair).relation;
-        let rev = method.find_relation(s.view(), r.view(), &mut pair).relation;
+        let fwd = method.find_relation(r, s, &mut pctx).relation;
+        let rev = method.find_relation(s, r, &mut pctx).relation;
         assert_eq!(rev, fwd.converse(), "{name} {ctx}: {fwd:?} vs {rev:?}");
         // converse is an involution, so the reverse direction follows.
         assert_eq!(fwd, rev.converse(), "{name} {ctx} (back)");
     }
     for p in ALL_RELATIONS {
-        let fwd = relate_p(r.view(), s.view(), p).holds;
-        let rev = relate_p(s.view(), r.view(), p.converse()).holds;
+        let fwd = relate_p(r, s, p).holds;
+        let rev = relate_p(s, r, p.converse()).holds;
         assert_eq!(fwd, rev, "relate_p({p:?}) {ctx}");
     }
 }
 
 #[test]
 fn converse_holds_for_all_target_relations() {
-    let grid = grid();
     for rel in ALL_RELATIONS {
         for seed in 0..12u64 {
             let complexity = 8 + (seed as usize % 5) * 24;
             let (a, b) = pair_with_relation(rel, complexity, 0x5EED_0000 + seed);
-            let r = SpatialObject::build(a, &grid);
-            let s = SpatialObject::build(b, &grid);
-            assert_converse(&r, &s, &format!("target {rel:?} seed {seed}"));
+            assert_converse(&pair_arena(a, b), &format!("target {rel:?} seed {seed}"));
         }
     }
 }
 
 #[test]
 fn converse_holds_on_adversarial_pairs() {
-    let grid = grid();
     for index in 0..220u64 {
         let pair = stjoin::datagen::adversarial_pair(0xC0_FFEE, index);
-        let r = SpatialObject::build(pair.a, &grid);
-        let s = SpatialObject::build(pair.b, &grid);
-        assert_converse(&r, &s, &format!("adversarial {} #{index}", pair.category));
+        let ctx = format!("adversarial {} #{index}", pair.category);
+        assert_converse(&pair_arena(pair.a, pair.b), &ctx);
     }
 }
 
@@ -91,16 +92,15 @@ proptest! {
         complexity in 8usize..96,
         seed in any::<u64>(),
     ) {
-        let grid = grid();
         let (a, b) = pair_with_relation(ALL_RELATIONS[rel_idx], complexity, seed);
-        let r = SpatialObject::build(a, &grid);
-        let s = SpatialObject::build(b, &grid);
-        let fwd = find_relation(r.view(), s.view()).relation;
-        let rev = find_relation(s.view(), r.view()).relation;
+        let fwd_truth = TopoRelation::most_specific(&relate(&a, &b));
+        let rev_truth = TopoRelation::most_specific(&relate(&b, &a));
+        let pair = pair_arena(a, b);
+        let (r, s) = (pair.object(0), pair.object(1));
+        let fwd = find_relation(r, s).relation;
+        let rev = find_relation(s, r).relation;
         prop_assert_eq!(rev, fwd.converse());
         // The DE-9IM oracle agrees with itself under transposition.
-        let fwd_truth = TopoRelation::most_specific(&relate(&r.polygon, &s.polygon));
-        let rev_truth = TopoRelation::most_specific(&relate(&s.polygon, &r.polygon));
         prop_assert_eq!(rev_truth, fwd_truth.converse());
     }
 }

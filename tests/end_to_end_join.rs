@@ -18,8 +18,8 @@ fn setup(combo: ComboId, scale: f64) -> (DatasetArena, DatasetArena, Vec<(u32, u
         extent.grow_rect(p.mbr());
     }
     let grid = Grid::new(extent, 12);
-    let r = Dataset::build("R", r_polys, &grid).to_arena();
-    let s = Dataset::build("S", s_polys, &grid).to_arena();
+    let r = DatasetArena::build("R", &r_polys, &grid, DEFAULT_MAX_INTERVALS, 1);
+    let s = DatasetArena::build("S", &s_polys, &grid, DEFAULT_MAX_INTERVALS, 1);
     let pairs = mbr_join(r.mbrs(), s.mbrs());
     (r, s, pairs)
 }

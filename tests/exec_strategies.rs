@@ -41,7 +41,7 @@ fn random_rect_polys(n: usize, seed: u64, span: f64, size: f64) -> Vec<Polygon> 
 
 fn arena(name: &str, polys: Vec<Polygon>, extent: Rect) -> DatasetArena {
     let grid = Grid::new(extent, 10);
-    Dataset::build(name, polys, &grid).to_arena()
+    DatasetArena::build(name, &polys, &grid, DEFAULT_MAX_INTERVALS, 1)
 }
 
 fn sorted_links(mut links: Vec<Link>) -> Vec<Link> {

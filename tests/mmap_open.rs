@@ -16,7 +16,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::io::Write;
 
-use stjoin::core::{Dataset, TopologyJoin};
+use stjoin::core::{DatasetArena, TopologyJoin, DEFAULT_MAX_INTERVALS};
 use stjoin::geom::Rect;
 use stjoin::raster::Grid;
 use stjoin::store::{open_arena, open_arena_from_bytes, write_arena_v2};
@@ -68,8 +68,7 @@ fn mapped_open_performs_no_full_file_copy() {
         extent.grow_rect(p.mbr());
     }
     let grid = Grid::new(extent, 10);
-    let ds = Dataset::build_parallel("obe", polys, &grid, 4);
-    let arena = ds.to_arena();
+    let arena = DatasetArena::build("obe", &polys, &grid, DEFAULT_MAX_INTERVALS, 4);
 
     let path = std::env::temp_dir().join(format!("stj-mmap-open-{}.stjd", std::process::id()));
     let mut bytes = Vec::new();

@@ -14,8 +14,8 @@ fn datasets() -> (DatasetArena, DatasetArena) {
     let a = stjoin::datagen::generate(stjoin::datagen::DatasetId::OLE, 0.05);
     let b = stjoin::datagen::generate(stjoin::datagen::DatasetId::OPE, 0.05);
     (
-        Dataset::build("lakes", a, &grid).to_arena(),
-        Dataset::build("parks", b, &grid).to_arena(),
+        DatasetArena::build("lakes", &a, &grid, DEFAULT_MAX_INTERVALS, 1),
+        DatasetArena::build("parks", &b, &grid, DEFAULT_MAX_INTERVALS, 1),
     )
 }
 

@@ -28,36 +28,38 @@ fn grid() -> Grid {
 }
 
 /// Oracle: the most specific relation per the DE-9IM matrix.
-fn oracle(r: &SpatialObject, s: &SpatialObject) -> TopoRelation {
-    TopoRelation::most_specific(&relate(&r.polygon, &s.polygon))
+fn oracle(a: &Polygon, b: &Polygon) -> TopoRelation {
+    TopoRelation::most_specific(&relate(a, b))
 }
 
-fn assert_all_methods_agree(r: &SpatialObject, s: &SpatialObject, ctx: &str) {
-    let expect = oracle(r, s);
-    assert_eq!(
-        find_relation(r.view(), s.view()).relation,
-        expect,
-        "P+C {ctx}"
+/// Preprocesses `(a, b)` into a two-row arena and checks every method
+/// and predicate on its rows against the oracle on the polygons.
+fn assert_all_methods_agree(a: &Polygon, b: &Polygon, ctx: &str) {
+    let pair = DatasetArena::build(
+        "pair",
+        &[a.clone(), b.clone()],
+        &grid(),
+        DEFAULT_MAX_INTERVALS,
+        1,
     );
-    let mut pair = PairCtx {
+    let (r, s) = (pair.object(0), pair.object(1));
+    let expect = oracle(a, b);
+    assert_eq!(find_relation(r, s).relation, expect, "P+C {ctx}");
+    let mut pctx = PairCtx {
         scratch: &mut RelateScratch::default(),
         prof: &mut Disabled,
         adaptive: None,
     };
     for method in [JoinMethod::St2, JoinMethod::Op2, JoinMethod::April] {
         assert_eq!(
-            method.find_relation(r.view(), s.view(), &mut pair).relation,
+            method.find_relation(r, s, &mut pctx).relation,
             expect,
             "{method:?} {ctx}"
         );
     }
     for p in ALL_RELATIONS {
-        let want = p.holds(&relate(&r.polygon, &s.polygon));
-        assert_eq!(
-            relate_p(r.view(), s.view(), p).holds,
-            want,
-            "relate_p({p:?}) {ctx}"
-        );
+        let want = p.holds(&relate(a, b));
+        assert_eq!(relate_p(r, s, p).holds, want, "relate_p({p:?}) {ctx}");
     }
 }
 
@@ -93,10 +95,7 @@ proptest! {
     /// Independent random pairs — mostly disjoint or partial overlaps.
     #[test]
     fn pipeline_matches_oracle_on_random_pairs(a in star_strategy(), b in star_strategy()) {
-        let g = grid();
-        let r = SpatialObject::build(a, &g);
-        let s = SpatialObject::build(b, &g);
-        assert_all_methods_agree(&r, &s, "random pair");
+        assert_all_methods_agree(&a, &b, "random pair");
     }
 
     /// Nested pairs — exercises containment paths and the Inside/Contains
@@ -108,7 +107,6 @@ proptest! {
         dx in -20.0..20.0f64,
         dy in -20.0..20.0f64,
     ) {
-        let g = grid();
         let c = a.mbr().center();
         let scaled: Vec<Point> = a
             .outer()
@@ -117,24 +115,19 @@ proptest! {
             .map(|v| Point::new(c.x + (v.x - c.x) * factor + dx, c.y + (v.y - c.y) * factor + dy))
             .collect();
         let b = Polygon::new(Ring::new(scaled).unwrap(), Vec::new());
-        let r = SpatialObject::build(a, &g);
-        let s = SpatialObject::build(b, &g);
-        assert_all_methods_agree(&r, &s, "nested pair");
-        assert_all_methods_agree(&s, &r, "nested pair swapped");
+        assert_all_methods_agree(&a, &b, "nested pair");
+        assert_all_methods_agree(&b, &a, "nested pair swapped");
     }
 }
 
 #[test]
 fn pipeline_matches_oracle_on_targeted_relations() {
-    let g = grid();
     for rel in ALL_RELATIONS {
         for seed in 0..8u64 {
             for complexity in [16usize, 100, 700] {
                 let (a, b) = pair_with_relation(rel, complexity, seed);
-                let r = SpatialObject::build(a, &g);
-                let s = SpatialObject::build(b, &g);
-                assert_eq!(oracle(&r, &s), rel, "generator contract {rel:?}");
-                assert_all_methods_agree(&r, &s, &format!("{rel:?} seed {seed} c {complexity}"));
+                assert_eq!(oracle(&a, &b), rel, "generator contract {rel:?}");
+                assert_all_methods_agree(&a, &b, &format!("{rel:?} seed {seed} c {complexity}"));
             }
         }
     }
@@ -144,18 +137,14 @@ fn pipeline_matches_oracle_on_targeted_relations() {
 fn determination_paths_are_all_reachable() {
     // Over a diverse polygon soup, the P+C pipeline must exercise every
     // determination path (MBR, intermediate, refinement).
-    let g = grid();
     // Scale chosen so the soup is dense enough that containment pairs
     // (intermediate-filter decisions) occur for any RNG stream.
     let polys = stjoin::datagen::generate(stjoin::datagen::DatasetId::OLE, 0.03);
-    let objs: Vec<SpatialObject> = polys
-        .into_iter()
-        .map(|p| SpatialObject::build(p, &g))
-        .collect();
+    let objs = DatasetArena::build("soup", &polys, &grid(), DEFAULT_MAX_INTERVALS, 1);
     let mut stats = PipelineStats::default();
-    for (i, r) in objs.iter().enumerate() {
-        for s in objs.iter().skip(i + 1) {
-            stats.record(find_relation(r.view(), s.view()).determination);
+    for i in 0..objs.len() {
+        for j in i + 1..objs.len() {
+            stats.record(find_relation(objs.object(i), objs.object(j)).determination);
         }
     }
     assert!(stats.pairs > 0);

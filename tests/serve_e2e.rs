@@ -30,8 +30,8 @@ fn adversarial_arenas() -> (DatasetArena, DatasetArena, Grid) {
         left.push(p.a);
         right.push(p.b);
     }
-    let l = Dataset::build("adv-a", left, &grid).to_arena();
-    let r = Dataset::build("adv-b", right, &grid).to_arena();
+    let l = DatasetArena::build("adv-a", &left, &grid, DEFAULT_MAX_INTERVALS, 1);
+    let r = DatasetArena::build("adv-b", &right, &grid, DEFAULT_MAX_INTERVALS, 1);
     (l, r, grid)
 }
 
@@ -116,9 +116,9 @@ fn relate_replay_matches_offline_bruteforce() {
         // Offline truth: the same probe object built from the same WKT,
         // against every stored object.
         let probe_poly = stjoin::geom::wkt::polygon_from_wkt(&wkt).expect("roundtrip wkt");
-        let probe = SpatialObject::build(probe_poly, &grid);
+        let probe = DatasetArena::build("probe", &[probe_poly], &grid, DEFAULT_MAX_INTERVALS, 1);
         for j in 0..r.len() {
-            let out = find_relation(probe.view(), r.object(j));
+            let out = find_relation(probe.object(0), r.object(j));
             let expected = format!("\"id\": {j},\n      \"relation\": \"{}\"", out.relation);
             if out.relation == TopoRelation::Disjoint {
                 assert!(
@@ -416,9 +416,9 @@ fn discover_streams_links_matching_offline_pipeline() {
     for (pi, &i) in probe_idxs.iter().enumerate() {
         let wkt = polygon_to_wkt(&adversarial_pair(SEED, i as u64).a);
         let poly = stjoin::geom::wkt::polygon_from_wkt(&wkt).expect("roundtrip");
-        let probe = SpatialObject::build(poly, &grid);
+        let probe = DatasetArena::build("probe", &[poly], &grid, DEFAULT_MAX_INTERVALS, 1);
         for j in 0..r.len() {
-            let out = find_relation(probe.view(), r.object(j));
+            let out = find_relation(probe.object(0), r.object(j));
             if out.relation == TopoRelation::Disjoint {
                 continue;
             }
