@@ -29,7 +29,7 @@
 use crate::object::Dataset;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use stj_geom::{try_interior_point_with, Areal, InteriorScratch, Point, PolyView, Polygon, Rect};
-use stj_raster::{AprilApprox, AprilRef, Grid, IntervalsRef};
+use stj_raster::{AprilRef, Grid, IntervalsRef, RasterScratch};
 
 /// Objects per work unit of [`DatasetArena::build`]: small enough that a
 /// few huge polygons cannot leave a worker idle for long, large enough
@@ -273,6 +273,14 @@ impl ArenaColumns {
     }
 }
 
+/// One build worker's retained buffers: the rasterizer's and the
+/// interior-point search's.
+#[derive(Default)]
+struct BuildScratch {
+    raster: RasterScratch,
+    interior: InteriorScratch,
+}
+
 /// The interior-column sentinel for "no detectable interior".
 const NO_INTERIOR: Point = Point::new(f64::NAN, f64::NAN);
 
@@ -329,7 +337,8 @@ pub struct DatasetArena {
 impl DatasetArena {
     /// Preprocesses `polygons` into an arena: rasterizes each polygon's
     /// APRIL approximation on `grid`, capped at `max_intervals` intervals
-    /// per list ([`AprilApprox::build_capped`]; `usize::MAX` keeps full
+    /// per list (the lists of [`stj_raster::AprilApprox::build_capped`],
+    /// from a per-worker [`RasterScratch`]; `usize::MAX` keeps full
     /// resolution), and computes its interior point. `threads` workers
     /// claim chunks of objects dynamically and fill per-worker column
     /// chunks, which are concatenated in input order, so the result does
@@ -341,24 +350,24 @@ impl DatasetArena {
         max_intervals: usize,
         threads: usize,
     ) -> DatasetArena {
-        let fill = |cols: &mut ArenaColumns, polys: &[Polygon], scratch: &mut InteriorScratch| {
+        let fill = |cols: &mut ArenaColumns, polys: &[Polygon], scratch: &mut BuildScratch| {
             for p in polys {
-                let april = AprilApprox::build_capped(p, grid, max_intervals);
-                cols.push(p, april.as_ref(), scratch);
+                let april = scratch.raster.april(p, grid, max_intervals);
+                cols.push(p, april, &mut scratch.interior);
             }
         };
         let mut cols = ArenaColumns::new(name);
         let chunks: Vec<&[Polygon]> = polygons.chunks(BUILD_CHUNK).collect();
         let threads = threads.clamp(1, chunks.len().max(1));
         if threads == 1 {
-            fill(&mut cols, polygons, &mut InteriorScratch::default());
+            fill(&mut cols, polygons, &mut BuildScratch::default());
         } else {
             let next = AtomicUsize::new(0);
             let mut built: Vec<(usize, ArenaColumns)> = std::thread::scope(|scope| {
                 let workers: Vec<_> = (0..threads)
                     .map(|_| {
                         scope.spawn(|| {
-                            let mut scratch = InteriorScratch::default();
+                            let mut scratch = BuildScratch::default();
                             let mut mine = Vec::new();
                             loop {
                                 let k = next.fetch_add(1, Ordering::Relaxed);
@@ -841,6 +850,7 @@ mod tests {
     use super::*;
     use crate::object::SpatialObject;
     use crate::DEFAULT_MAX_INTERVALS;
+    use stj_raster::AprilApprox;
 
     fn grid() -> Grid {
         Grid::new(Rect::from_coords(0.0, 0.0, 100.0, 100.0), 8)

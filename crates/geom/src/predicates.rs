@@ -120,24 +120,60 @@ fn orient2d_exact(a: Point, b: Point, c: Point) -> f64 {
     let (p5h, p5l) = two_product(b.x, c.y);
     let (p6h, p6l) = two_product(b.y, c.x);
 
-    let mut acc: Vec<f64> = Vec::with_capacity(16);
-    let mut tmp: Vec<f64> = Vec::with_capacity(16);
-    grow_expansion(&mut acc, &mut tmp, p1l);
-    grow_expansion(&mut acc, &mut tmp, p1h);
-    grow_expansion(&mut acc, &mut tmp, -p2l);
-    grow_expansion(&mut acc, &mut tmp, -p2h);
-    grow_expansion(&mut acc, &mut tmp, p3l);
-    grow_expansion(&mut acc, &mut tmp, p3h);
-    grow_expansion(&mut acc, &mut tmp, -p4l);
-    grow_expansion(&mut acc, &mut tmp, -p4h);
-    grow_expansion(&mut acc, &mut tmp, p5l);
-    grow_expansion(&mut acc, &mut tmp, p5h);
-    grow_expansion(&mut acc, &mut tmp, -p6l);
-    grow_expansion(&mut acc, &mut tmp, -p6h);
+    let mut acc = Expansion::default();
+    for v in [
+        p1l, p1h, -p2l, -p2h, p3l, p3h, -p4l, -p4h, p5l, p5h, -p6l, -p6h,
+    ] {
+        acc.grow(v);
+    }
 
     // The expansion is sorted by increasing magnitude and non-overlapping;
     // the last nonzero component dominates the sum's sign.
-    acc.iter().rev().copied().find(|v| *v != 0.0).unwrap_or(0.0)
+    acc.components()
+        .iter()
+        .rev()
+        .copied()
+        .find(|v| *v != 0.0)
+        .unwrap_or(0.0)
+}
+
+/// Terms [`orient2d_exact`] sums: twelve, and each [`Expansion::grow`]
+/// adds at most one component.
+const EXPANSION_TERMS: usize = 12;
+
+/// A floating-point expansion of at most [`EXPANSION_TERMS`] components,
+/// on the stack: non-overlapping, in increasing magnitude.
+#[derive(Default)]
+struct Expansion {
+    parts: [f64; EXPANSION_TERMS],
+    len: usize,
+}
+
+impl Expansion {
+    /// Adds scalar `b` exactly (Shewchuk's `GROW-EXPANSION` with zero
+    /// elimination), in place: the `i`-th output component is written
+    /// only after the `i`-th input component has been read.
+    fn grow(&mut self, b: f64) {
+        let mut q = b;
+        let mut n = 0;
+        for i in 0..self.len {
+            let (s, err) = two_sum(q, self.parts[i]);
+            if err != 0.0 {
+                self.parts[n] = err;
+                n += 1;
+            }
+            q = s;
+        }
+        if q != 0.0 || n == 0 {
+            self.parts[n] = q;
+            n += 1;
+        }
+        self.len = n;
+    }
+
+    fn components(&self) -> &[f64] {
+        &self.parts[..self.len]
+    }
 }
 
 /// Error-free transformation of a sum: returns `(s, e)` with `s = fl(a+b)`
@@ -176,25 +212,6 @@ fn split(a: f64) -> (f64, f64) {
     let hi = c - (c - a);
     let lo = a - hi;
     (hi, lo)
-}
-
-/// Adds scalar `b` into expansion `e` (non-overlapping, increasing
-/// magnitude), producing a valid expansion again. `tmp` is scratch space
-/// reused between calls to avoid allocation.
-fn grow_expansion(e: &mut Vec<f64>, tmp: &mut Vec<f64>, b: f64) {
-    tmp.clear();
-    let mut q = b;
-    for &ei in e.iter() {
-        let (s, err) = two_sum(q, ei);
-        if err != 0.0 {
-            tmp.push(err);
-        }
-        q = s;
-    }
-    if q != 0.0 || tmp.is_empty() {
-        tmp.push(q);
-    }
-    std::mem::swap(e, tmp);
 }
 
 /// Returns `true` if point `p` lies on the closed segment `a -> b`.
@@ -265,6 +282,36 @@ mod tests {
                 let o3 = orient2d(b, c, a);
                 assert_eq!(o1, o3, "cyclic i={i} j={j}");
             }
+        }
+    }
+
+    /// `orient2d_exact` against an independent exact evaluation: on
+    /// integer coordinates below 2^52 every product fits an `i128`, so
+    /// the determinant's sign is known exactly. The triples are nearly
+    /// collinear (a point on the line through `a` and `b`, nudged by at
+    /// most one unit), where the floating-point filter cannot decide.
+    #[test]
+    fn exact_path_matches_i128_determinant() {
+        let mut seed = 0x0D1E_C0DEu64;
+        let mut next = move |bits: u32| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed >> (64 - bits)) as i64
+        };
+        for _ in 0..20_000 {
+            let (ax, ay) = (next(48), next(48));
+            let (dx, dy) = (next(20) - (1 << 19), next(20) - (1 << 19));
+            let (m1, m2) = (next(24), next(24));
+            let (bx, by) = (ax + dx * m1, ay + dy * m1);
+            let (cx, cy) = (ax + dx * m2 + next(2) - 1, ay + dy * m2 + next(2) - 1);
+            let det = i128::from(bx - ax) * i128::from(cy - ay)
+                - i128::from(by - ay) * i128::from(cx - ax);
+            let want = Orientation::from_sign(det.signum() as f64);
+            let [a, b, c] =
+                [(ax, ay), (bx, by), (cx, cy)].map(|(x, y)| Point::new(x as f64, y as f64));
+            assert_eq!(Orientation::from_sign(orient2d_exact(a, b, c)), want);
+            assert_eq!(orient2d(a, b, c), want);
         }
     }
 

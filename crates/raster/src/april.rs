@@ -3,7 +3,7 @@
 
 use crate::grid::Grid;
 use crate::intervals::{IntervalList, IntervalsRef};
-use crate::rasterize::rasterize;
+use crate::rasterize::RasterScratch;
 use stj_geom::Polygon;
 
 /// A borrowed, `Copy`-able APRIL approximation: two interval-slice views
@@ -42,9 +42,7 @@ impl AprilApprox {
     /// This is the paper's per-object preprocessing step — executed once
     /// per object, off the measured join path.
     pub fn build(poly: &Polygon, grid: &Grid) -> AprilApprox {
-        let (p, c) = rasterize(poly, grid);
-        debug_assert!(p.inside(&c), "progressive list must be within conservative");
-        AprilApprox { p, c }
+        AprilApprox::build_capped(poly, grid, usize::MAX)
     }
 
     /// Builds the approximation of `poly` on `grid` and caps it at
@@ -57,8 +55,18 @@ impl AprilApprox {
     /// receive exactly the same treatment (same rasterization, same
     /// budget coarsening) as stored objects so filter decisions agree
     /// with the offline pipeline bit-for-bit.
+    ///
+    /// Callers rasterizing many objects keep one [`RasterScratch`] per
+    /// worker and call [`RasterScratch::april`], which computes the same
+    /// lists without allocating them.
     pub fn build_capped(poly: &Polygon, grid: &Grid, max_intervals: usize) -> AprilApprox {
-        AprilApprox::build(poly, grid).with_max_intervals(max_intervals)
+        let mut scratch = RasterScratch::default();
+        let april = scratch.april(poly, grid, max_intervals);
+        debug_assert!(
+            april.p.inside(april.c),
+            "progressive list must be within conservative"
+        );
+        scratch.into_april()
     }
 
     /// An approximation with empty lists (used for placeholder slots in

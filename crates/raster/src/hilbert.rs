@@ -65,6 +65,118 @@ fn rotate(s: u32, x: &mut u32, y: &mut u32, rx: u32, ry: u32) {
     }
 }
 
+/// Transition table of the Hilbert curve as a state machine, indexed by
+/// `state << 2 | bx << 1 | by` for the next bits `(bx, by)` of `x` and
+/// `y`: low two bits the quadrant digit, high two bits the next state.
+///
+/// A state is the transform [`xy_to_d`]'s `rotate` has applied so far to
+/// the remaining low bits: bit 0 swaps `x` and `y`, bit 1 complements
+/// both (the two commute). Stepping through it yields the same digits as
+/// `xy_to_d` without a branch per level.
+const STATE_TABLE: [u8; 16] = {
+    let mut t = [0u8; 16];
+    let mut i = 0;
+    while i < 16 {
+        let (state, bx, by) = (i >> 2, (i >> 1) & 1, i & 1);
+        let flip = (state >> 1) as u8;
+        let (mut rx, mut ry) = if state & 1 == 1 { (by, bx) } else { (bx, by) };
+        rx ^= flip as usize;
+        ry ^= flip as usize;
+        let mut next = state;
+        if ry == 0 {
+            next ^= 1;
+            if rx == 1 {
+                next ^= 2;
+            }
+        }
+        t[i] = (((3 * rx) ^ ry) | next << 2) as u8;
+        i += 1;
+    }
+    t
+};
+
+/// Level of the blocks whose cell offsets [`HilbertBlock::offset`] reads
+/// from [`OFFSET_TABLE`]: the rasterizer's kernel blocks.
+pub(crate) const TABLE_LEVEL: u32 = 4;
+
+/// Steps the [`STATE_TABLE`] machine from `state` through bit levels
+/// `hi - 1` down to `lo` of `(x, y)`: the digits those levels contribute,
+/// and the state after them.
+const fn walk(mut state: usize, x: u32, y: u32, lo: u32, hi: u32) -> (u64, usize) {
+    let mut d = 0u64;
+    let mut i = hi;
+    while i > lo {
+        i -= 1;
+        let q = (((x >> i) & 1) << 1 | ((y >> i) & 1)) as usize;
+        let e = STATE_TABLE[state << 2 | q] as usize;
+        d = d << 2 | (e & 3) as u64;
+        state = e >> 2;
+    }
+    (d, state)
+}
+
+/// `OFFSET_TABLE[state][dy << TABLE_LEVEL | dx]`: the offset of cell
+/// `(dx, dy)` within a level-[`TABLE_LEVEL`] block entered in `state`.
+static OFFSET_TABLE: [[u8; 1 << (2 * TABLE_LEVEL)]; 4] = {
+    let side = 1 << TABLE_LEVEL;
+    let mut t = [[0u8; 1 << (2 * TABLE_LEVEL)]; 4];
+    let mut entry = 0;
+    while entry < 4 {
+        let mut i = 0;
+        while i < side * side {
+            let (dx, dy) = ((i % side) as u32, (i / side) as u32);
+            t[entry][i] = walk(entry, dx, dy, 0, TABLE_LEVEL).0 as u8;
+            i += 1;
+        }
+        entry += 1;
+    }
+    t
+};
+
+/// A Hilbert-curve encoder positioned at an aligned block: the id of the
+/// block's first cell and the curve's state on entering it. Ids of the
+/// block's cells are then `base() + offset(dx, dy)`: `level` table steps
+/// per cell instead of `order`, and one table lookup for a level-4
+/// block.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct HilbertBlock {
+    base: u64,
+    state: u8,
+    level: u32,
+}
+
+impl HilbertBlock {
+    /// The block with lower-left cell `(x0, y0)` and side `2^level` on a
+    /// curve of `order` (`(x0, y0)` aligned to the side, as for
+    /// [`block_range`]).
+    pub(crate) fn new(order: u32, x0: u32, y0: u32, level: u32) -> HilbertBlock {
+        debug_assert!(level <= order && order <= MAX_ORDER);
+        let (d, state) = walk(0, x0, y0, level, order);
+        HilbertBlock {
+            base: d << (2 * level),
+            state: state as u8,
+            level,
+        }
+    }
+
+    /// The id of the block's first cell on the curve.
+    #[inline]
+    pub(crate) fn base(&self) -> u64 {
+        self.base
+    }
+
+    /// The offset within the block of the cell `(dx, dy)` cells from its
+    /// lower-left corner: the cell's id is `base() + offset(dx, dy)`.
+    #[inline]
+    pub(crate) fn offset(&self, dx: u32, dy: u32) -> u64 {
+        if self.level == TABLE_LEVEL {
+            let table = &OFFSET_TABLE[usize::from(self.state)];
+            return u64::from(table[(dy << TABLE_LEVEL | dx) as usize]);
+        }
+        walk(usize::from(self.state), dx, dy, 0, self.level).0
+    }
+}
+
 /// The contiguous Hilbert id range `[start, end)` covered by the aligned
 /// block whose lower-left cell is `(x0, y0)` and whose side is
 /// `2^level` cells.
@@ -184,6 +296,41 @@ mod tests {
         let (s, e) = block_range(8, 13, 77, 0);
         assert_eq!(e - s, 1);
         assert_eq!(s, xy_to_d(8, 13, 77));
+    }
+
+    #[test]
+    fn state_table_encoder_equals_xy_to_d() {
+        // Exhaustively for small orders, at every block level: the block's
+        // base plus the cell's offset is the cell's id.
+        for order in 1..=7u32 {
+            let side = 1u32 << order;
+            for x in 0..side {
+                for y in 0..side {
+                    let d = xy_to_d(order, x, y);
+                    for level in 0..=order.min(4) {
+                        let mask = (1u32 << level) - 1;
+                        let b = HilbertBlock::new(order, x & !mask, y & !mask, level);
+                        assert_eq!(b.base() + b.offset(x & mask, y & mask), d);
+                        assert_eq!(b.base(), block_range(order, x & !mask, y & !mask, level).0);
+                    }
+                }
+            }
+        }
+        // Random cells of the finest curve.
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..1_000_000 {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            let (x, y) = (seed as u32 & 0xFFFF, (seed >> 32) as u32 & 0xFFFF);
+            let level = (seed >> 60) as u32 % 5;
+            let mask = (1u32 << level) - 1;
+            let b = HilbertBlock::new(MAX_ORDER, x & !mask, y & !mask, level);
+            assert_eq!(
+                b.base() + b.offset(x & mask, y & mask),
+                xy_to_d(MAX_ORDER, x, y)
+            );
+        }
     }
 
     #[test]

@@ -172,6 +172,24 @@ impl<'a> IntervalsRef<'a> {
     }
 }
 
+/// Normalizes `ranges` in place: drops empty ranges, sorts, and merges
+/// overlapping and adjacent ones.
+pub(crate) fn normalize(ranges: &mut Vec<(u64, u64)>) {
+    ranges.retain(|&(s, e)| e > s);
+    ranges.sort_unstable();
+    let mut n = 0;
+    for i in 0..ranges.len() {
+        let (s, e) = ranges[i];
+        if n > 0 && s <= ranges[n - 1].1 {
+            ranges[n - 1].1 = ranges[n - 1].1.max(e);
+        } else {
+            ranges[n] = (s, e);
+            n += 1;
+        }
+    }
+    ranges.truncate(n);
+}
+
 /// A normalized list of half-open `[start, end)` id intervals.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct IntervalList {
@@ -188,17 +206,20 @@ impl IntervalList {
     /// Builds a list from arbitrary `[start, end)` ranges, normalizing
     /// (sorting, dropping empties, merging overlaps and adjacencies).
     pub fn from_ranges(mut ranges: Vec<(u64, u64)>) -> IntervalList {
-        ranges.retain(|&(s, e)| e > s);
-        ranges.sort_unstable();
-        let mut ivs: Vec<(u64, u64)> = Vec::with_capacity(ranges.len());
-        for (s, e) in ranges {
-            match ivs.last_mut() {
-                Some(last) if s <= last.1 => last.1 = last.1.max(e),
-                _ => ivs.push((s, e)),
-            }
-        }
+        normalize(&mut ranges);
+        IntervalList::from_normalized(ranges)
+    }
+
+    /// Wraps an already normalized vector (see [`normalize`]).
+    pub(crate) fn from_normalized(ivs: Vec<(u64, u64)>) -> IntervalList {
+        debug_assert!(ivs.windows(2).all(|w| w[0].1 < w[1].0));
         let num_cells = ivs.iter().map(|&(s, e)| e - s).sum();
         IntervalList { ivs, num_cells }
+    }
+
+    /// The normalized intervals, by value.
+    pub(crate) fn into_intervals(self) -> Vec<(u64, u64)> {
+        self.ivs
     }
 
     /// Builds a list from individual cell ids (need not be sorted or

@@ -9,8 +9,9 @@
 //! - [`intervals::IntervalList`]: normalized interval lists with the four
 //!   linear merge-join relations of Sec 3.2 (`overlap`, `match`,
 //!   `inside`, `contains`);
-//! - [`mod@rasterize`]: quadtree-descent rasterization emitting `P`/`C`
-//!   interval lists in time proportional to the boundary footprint;
+//! - [`mod@rasterize`]: quadtree descent with a block kernel at its
+//!   bottom, emitting `P`/`C` interval lists in time proportional to the
+//!   boundary footprint, into a retained [`RasterScratch`];
 //! - [`april::AprilApprox`]: the per-object `(P, C)` approximation pair.
 
 pub mod april;
@@ -24,4 +25,4 @@ pub use grid::Grid;
 pub use intervals::{
     ivs_contains, ivs_inside, ivs_matches, ivs_overlaps, IntervalList, IntervalsRef,
 };
-pub use rasterize::rasterize;
+pub use rasterize::RasterScratch;

@@ -31,4 +31,4 @@ pub use mmap::Mapping;
 pub use v2::{
     dataset_info, open_arena, open_arena_from_bytes, read_arena, write_arena_v2, DatasetInfo,
 };
-pub use wktio::{read_wkt_polygons, write_wkt_polygons};
+pub use wktio::{parse_wkt_polygons, read_wkt_polygons, write_wkt_polygons};

@@ -79,7 +79,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 use stjoin::core::linking::links_to_ntriples;
 use stjoin::core::DatasetArena;
@@ -89,8 +89,8 @@ use stjoin::geom::wkt::polygon_from_wkt;
 use stjoin::obs::Json;
 use stjoin::prelude::*;
 use stjoin::store::{
-    dataset_info, external_join_files, is_manifest_file, open_arena, read_manifest_file,
-    read_wkt_polygons, write_arena_v2, write_sharded, write_wkt_polygons, ShardedDataset,
+    dataset_info, external_join_files, is_manifest_file, open_arena, parse_wkt_polygons,
+    read_manifest_file, write_arena_v2, write_sharded, write_wkt_polygons, ShardedDataset,
 };
 
 /// Passthrough to the system allocator that feeds the stage-tagged
@@ -246,15 +246,18 @@ fn cmd_preprocess(args: &[String]) -> Result<(), String> {
                 }
                 extent = Some(Rect::from_coords(v[0], v[1], v[2], v[3]));
             }
-            other => pos.push(other.to_string()),
+            other => pos.push(positional(other)?),
         }
     }
     let [input, output] = pos.as_slice() else {
         return Err("preprocess needs <IN.wkt> <OUT.stjd>".into());
     };
 
-    let f = File::open(input).map_err(|e| format!("open {input}: {e}"))?;
-    let polys = read_wkt_polygons(BufReader::new(f)).map_err(|e| e.to_string())?;
+    // Parse and rasterize on the same worker count.
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let text = std::fs::read(input).map_err(|e| format!("open {input}: {e}"))?;
+    let polys = parse_wkt_polygons(&text, threads).map_err(|e| e.to_string())?;
+    drop(text);
     if polys.is_empty() {
         return Err("input contains no polygons".into());
     }
@@ -274,7 +277,6 @@ fn cmd_preprocess(args: &[String]) -> Result<(), String> {
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_else(|| "dataset".into())
     });
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let count = polys.len();
     let arena = DatasetArena::build(&ds_name, &polys, &grid, DEFAULT_MAX_INTERVALS, threads);
     drop(polys);
@@ -408,7 +410,7 @@ fn cmd_join(args: &[String]) -> Result<(), String> {
             }
             "--progress" => progress = true,
             "--quiet" => quiet = true,
-            other => pos.push(other.to_string()),
+            other => pos.push(positional(other)?),
         }
     }
     let [left_path, right_path] = pos.as_slice() else {
@@ -746,7 +748,7 @@ fn cmd_bench_diff(args: &[String]) -> Result<(), String> {
                     .parse()
                     .map_err(|_| "bad --threshold value".to_string())?;
             }
-            other => pos.push(other.to_string()),
+            other => pos.push(positional(other)?),
         }
     }
     let [base_path, cur_path] = pos.as_slice() else {
@@ -997,7 +999,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
                         .map_err(|_| "bad --max-links value".to_string())?,
                 );
             }
-            other => pos.push(other.to_string()),
+            other => pos.push(positional(other)?),
         }
     }
     let addr = addr.ok_or("query needs --addr HOST:PORT")?;
@@ -1287,6 +1289,15 @@ fn parse_seed(s: &str) -> u64 {
 /// record reader.
 fn load(path: &str) -> Result<(DatasetArena, Grid), String> {
     open_arena(std::path::Path::new(path)).map_err(|e| format!("{path}: {e}"))
+}
+
+/// A positional argument, or an error naming an option this command
+/// does not know.
+fn positional(arg: &str) -> Result<String, String> {
+    if arg.starts_with("--") {
+        return Err(format!("unknown option {arg:?}"));
+    }
+    Ok(arg.to_string())
 }
 
 fn next_arg(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<String, String> {

@@ -768,6 +768,53 @@ fn unknown_command_fails_with_usage() {
 /// the exit code.
 #[cfg(unix)]
 #[test]
+fn unknown_options_are_named() {
+    let dir = tempdir("unknown-options");
+    let wkt = dir.join("in.wkt");
+    std::fs::write(&wkt, "POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0))\n").unwrap();
+    let out_path = dir.join("out.stjd");
+    let cases: [(&[&str], &str); 5] = [
+        (&["preprocess", "IN", "--bogus", "OUT"], "--bogus"),
+        (&["preprocess", "IN", "OUT", "--format", "v1"], "--format"),
+        (&["join", "OUT", "OUT", "--exec", "materialized"], "--exec"),
+        (
+            &["bench-diff", "a.json", "b.json", "--thresh", "5"],
+            "--thresh",
+        ),
+        (
+            &["query", "--addr", "127.0.0.1:9", "--retries", "3", "stats"],
+            "--retries",
+        ),
+    ];
+    for (args, flag) in cases {
+        let out = stj()
+            .args(args.iter().map(|a| match *a {
+                "IN" => wkt.as_os_str(),
+                "OUT" => out_path.as_os_str(),
+                a => std::ffi::OsStr::new(a),
+            }))
+            .output()
+            .expect("run stj");
+        assert!(!out.status.success(), "{args:?} succeeded");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("unknown option \"{flag}\"")),
+            "{args:?}: {err}"
+        );
+    }
+    // Nothing was written, and the same command without the stray option
+    // works.
+    assert!(!out_path.exists());
+    let out = stj()
+        .arg("preprocess")
+        .arg(&wkt)
+        .arg(&out_path)
+        .output()
+        .expect("run stj");
+    assert!(out.status.success());
+}
+
+#[test]
 fn serve_and_query_round_trip() {
     use std::io::{BufRead, BufReader};
 

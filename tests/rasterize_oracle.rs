@@ -2,9 +2,10 @@
 //!
 //! The rasterizer descends the Hilbert quadtree, filters the edges that
 //! meet each block, passes every edge through unfiltered once a block
-//! contains the whole boundary, skips blocks off both MBRs, and decides
-//! segment–cell contact with the separating-axis theorem. None of that may
-//! change a single cell. The oracle here visits every cell of the grid
+//! contains the whole boundary, skips blocks off both MBRs, classifies
+//! small blocks cell by cell in a kernel (edge walks, row sweeps, a
+//! state-table curve encoder), and decides segment–cell contact with the
+//! separating-axis theorem. None of that may change a single cell. The oracle here visits every cell of the grid
 //! and decides it from the definitions alone:
 //!
 //! - **partial** — an edge has an endpoint in the closed cell, or meets
@@ -13,7 +14,10 @@
 //!   (`Polygon::locate`).
 //!
 //! `P` must be exactly the full cells and `C` the full and partial ones,
-//! at every order up to 8.
+//! at every order up to 8, and for objects a few dozen cells wide at
+//! orders 12 and 16. From order 5 up the quadtree descent stops at blocks
+//! of 16 × 16 cells and hands them to the block kernel, so those cases
+//! exercise both.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -22,14 +26,19 @@ use stjoin::geom::polygon::Location;
 use stjoin::geom::{intersect_segments, validate_polygon};
 use stjoin::prelude::*;
 use stjoin::raster::hilbert::xy_to_d;
-use stjoin::raster::rasterize;
 
-/// `(P, C)` cell ids of `poly` on `grid`, decided cell by cell.
+/// `(P, C)` cell ids of `poly` on `grid`, decided cell by cell over a
+/// window two cells wider on each side than the polygon's MBR (every
+/// cell of small grids).
 fn oracle(poly: &Polygon, grid: &Grid) -> (Vec<u64>, Vec<u64>) {
     let edges: Vec<Segment> = poly.edges().collect();
     let (mut p, mut c) = (Vec::new(), Vec::new());
-    for col in 0..grid.side() {
-        for row in 0..grid.side() {
+    let mbr = poly.mbr();
+    let last = grid.side() - 1;
+    let cols = grid.col_of(mbr.min.x).saturating_sub(2)..=(grid.col_of(mbr.max.x) + 2).min(last);
+    let rows = grid.row_of(mbr.min.y).saturating_sub(2)..=(grid.row_of(mbr.max.y) + 2).min(last);
+    for col in cols {
+        for row in rows.clone() {
             let r = grid.cell_rect(col, row);
             let corners = [
                 r.min,
@@ -60,10 +69,10 @@ fn oracle(poly: &Polygon, grid: &Grid) -> (Vec<u64>, Vec<u64>) {
 }
 
 fn check(poly: &Polygon, grid: &Grid, what: &str) {
-    let (p, c) = rasterize(poly, grid);
+    let a = AprilApprox::build(poly, grid);
     let (po, co) = oracle(poly, grid);
-    assert_eq!(p.iter_cells().collect::<Vec<_>>(), po, "{what}: P");
-    assert_eq!(c.iter_cells().collect::<Vec<_>>(), co, "{what}: C");
+    assert_eq!(a.p.iter_cells().collect::<Vec<_>>(), po, "{what}: P");
+    assert_eq!(a.c.iter_cells().collect::<Vec<_>>(), co, "{what}: C");
 }
 
 fn grid(order: u32, size: f64) -> Grid {
@@ -198,5 +207,153 @@ fn polygons_straddling_the_grid_centre_lines_match_oracle() {
             &grid(order, 100.0),
             &format!("diamond, order {order}"),
         );
+    }
+}
+
+#[test]
+fn kernel_blocks_match_oracle_at_borders_corners_and_grid_edges() {
+    // Order 8 over [0, 256]²: 1×1 cells, kernel blocks of 16×16 cells, so
+    // integer coordinates are cell corners and multiples of 16 are kernel
+    // block borders.
+    let g = grid(8, 256.0);
+    type Ring = Vec<(f64, f64)>;
+    let shapes: Vec<(&str, Ring, Vec<Ring>)> = vec![
+        // Edges along diagonals through cell corners, across block borders.
+        (
+            "corner diagonals",
+            vec![(16.0, 16.0), (48.0, 48.0), (16.0, 48.0)],
+            vec![],
+        ),
+        (
+            "lattice diamond",
+            vec![(32.0, 20.0), (44.0, 32.0), (32.0, 44.0), (20.0, 32.0)],
+            vec![],
+        ),
+        // Vertices on cell sides, edges along cell borders.
+        (
+            "border edges",
+            vec![(64.0, 64.5), (70.0, 64.5), (70.0, 80.0), (64.0, 80.0)],
+            vec![],
+        ),
+        // Column 0 / row 0, and column/row side − 1.
+        (
+            "grid origin",
+            vec![(0.0, 0.0), (5.0, 0.0), (5.0, 3.0), (0.0, 3.0)],
+            vec![],
+        ),
+        (
+            "left column",
+            vec![(0.0, 100.2), (0.7, 101.0), (0.0, 103.5)],
+            vec![],
+        ),
+        (
+            "top right",
+            vec![
+                (250.0, 250.0),
+                (256.0, 250.0),
+                (256.0, 256.0),
+                (250.0, 256.0),
+            ],
+            vec![],
+        ),
+        (
+            "bottom right",
+            vec![(251.5, 0.0), (256.0, 0.0), (256.0, 7.0)],
+            vec![],
+        ),
+        // Straddling the four top-level Hilbert quadrants.
+        (
+            "grid centre",
+            vec![(126.5, 127.0), (130.0, 126.0), (129.0, 130.5)],
+            vec![],
+        ),
+        (
+            "centre square",
+            vec![
+                (127.0, 127.0),
+                (129.0, 127.0),
+                (129.0, 129.0),
+                (127.0, 129.0),
+            ],
+            vec![],
+        ),
+        // Holes inside one kernel block, on and off the lattice.
+        (
+            "holed block",
+            vec![(33.0, 33.0), (46.0, 33.0), (46.0, 46.0), (33.0, 46.0)],
+            vec![vec![(37.0, 37.0), (41.0, 37.0), (41.0, 41.0), (37.0, 41.0)]],
+        ),
+        (
+            "holed off-lattice",
+            vec![(81.3, 81.7), (94.6, 82.1), (93.9, 95.2), (82.2, 94.4)],
+            vec![vec![(85.5, 85.5), (90.25, 86.0), (88.0, 90.75)]],
+        ),
+        // Larger than a kernel block: uniform blocks above it.
+        (
+            "large",
+            vec![(3.5, 3.5), (200.0, 10.0), (180.0, 190.0), (20.0, 170.0)],
+            vec![],
+        ),
+    ];
+    for (what, outer, holes) in shapes {
+        let poly = Polygon::from_coords(outer, holes).unwrap();
+        assert_eq!(validate_polygon(&poly), Ok(()), "{what}");
+        check(&poly, &g, what);
+    }
+}
+
+#[test]
+fn non_dyadic_extent_matches_oracle() {
+    // On [-10, 1010]², `col_of`'s division and `cell_rect`'s
+    // multiplication round differently: the kernel must still agree with
+    // the per-cell oracle on every cell.
+    let mut rng = StdRng::seed_from_u64(0xD1AD1C);
+    for order in [12, 16] {
+        let g = Grid::new(Rect::from_coords(-10.0, -10.0, 1010.0, 1010.0), order);
+        let cw = g.cell_width();
+        // A grid line's coordinate, computed as `cell_rect` computes it.
+        let line = |k: u32| -10.0 + f64::from(k) * cw;
+        for trial in 0..40 {
+            let radius = cw * rng.gen_range(0.3..25.0);
+            let (cx, cy) = match trial % 4 {
+                0 => (rng.gen_range(-10.0..1010.0), rng.gen_range(-10.0..1010.0)),
+                // Near the extent's borders: grid column/row 0 and side − 1.
+                1 => (-10.0 + radius, rng.gen_range(-10.0..1010.0)),
+                2 => (rng.gen_range(-10.0..1010.0), 1010.0 - radius),
+                // Around the grid's centre lines.
+                _ => (500.0 + rng.gen_range(-2.0..2.0) * radius, 500.0),
+            };
+            let n = 4 + rng.gen_range(0..16usize);
+            let poly = star_polygon(&mut rng, &star_params(cx, cy, radius, n));
+            if validate_polygon(&poly).is_ok() {
+                check(&poly, &g, &format!("star {trial}, order {order}"));
+            }
+        }
+        // Vertices and edges exactly on grid lines.
+        let k = g.side() / 3;
+        let lattice = Polygon::from_coords(
+            vec![
+                (line(k), line(k)),
+                (line(k + 9), line(k)),
+                (line(k + 9), line(k + 4)),
+                (line(k + 4), line(k + 4)),
+                (line(k + 4), line(k + 11)),
+                (line(k), line(k + 11)),
+            ],
+            vec![],
+        )
+        .unwrap();
+        check(&lattice, &g, &format!("lattice, order {order}"));
+        let edge = g.side() - 1;
+        let corner = Polygon::from_coords(
+            vec![
+                (line(edge - 5), line(edge - 3)),
+                (1010.0, line(edge - 6)),
+                (1010.0, 1010.0),
+            ],
+            vec![],
+        )
+        .unwrap();
+        check(&corner, &g, &format!("top-right corner, order {order}"));
     }
 }
