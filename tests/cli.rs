@@ -762,11 +762,8 @@ fn unknown_command_fails_with_usage() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("USAGE"));
 }
 
-/// End-to-end `stj serve` + `stj query` round trip: start the service
-/// on a free port, exercise every query family, assert the structured
-/// 400 for bad probe WKT, then drain gracefully via SIGTERM and check
-/// the exit code.
-#[cfg(unix)]
+/// Options a command does not know are rejected by name, not taken as
+/// positional arguments.
 #[test]
 fn unknown_options_are_named() {
     let dir = tempdir("unknown-options");
@@ -812,8 +809,15 @@ fn unknown_options_are_named() {
         .output()
         .expect("run stj");
     assert!(out.status.success());
+
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// End-to-end `stj serve` + `stj query` round trip: start the service
+/// on a free port, exercise every query family, assert the structured
+/// 400 for bad probe WKT, then drain gracefully via SIGTERM and check
+/// the exit code.
+#[cfg(unix)]
 #[test]
 fn serve_and_query_round_trip() {
     use std::io::{BufRead, BufReader};

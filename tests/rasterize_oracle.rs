@@ -1,12 +1,13 @@
-//! `rasterize` against a brute-force per-cell oracle.
+//! The rasterizer (`AprilApprox::build`) against a brute-force per-cell oracle.
 //!
 //! The rasterizer descends the Hilbert quadtree, filters the edges that
 //! meet each block, passes every edge through unfiltered once a block
 //! contains the whole boundary, skips blocks off both MBRs, classifies
 //! small blocks cell by cell in a kernel (edge walks, row sweeps, a
 //! state-table curve encoder), and decides segment–cell contact with the
-//! separating-axis theorem. None of that may change a single cell. The oracle here visits every cell of the grid
-//! and decides it from the definitions alone:
+//! separating-axis theorem. None of that may change a single cell. The
+//! oracle here visits every cell the polygon can reach and decides it
+//! from the definitions alone:
 //!
 //! - **partial** — an edge has an endpoint in the closed cell, or meets
 //!   one of the cell's four sides (`intersect_segments`);
@@ -28,8 +29,9 @@ use stjoin::prelude::*;
 use stjoin::raster::hilbert::xy_to_d;
 
 /// `(P, C)` cell ids of `poly` on `grid`, decided cell by cell over a
-/// window two cells wider on each side than the polygon's MBR (every
-/// cell of small grids).
+/// window two cells wider on each side than the polygon's MBR: a cell
+/// outside it cannot meet the polygon, even if `col_of`/`row_of` round
+/// the MBR into the neighbouring cell.
 fn oracle(poly: &Polygon, grid: &Grid) -> (Vec<u64>, Vec<u64>) {
     let edges: Vec<Segment> = poly.edges().collect();
     let (mut p, mut c) = (Vec::new(), Vec::new());
